@@ -15,8 +15,8 @@ which it quantifies over itself.
 
 Exit status: 0 the formula holds, 1 it does not (or a counterexample was
 found), 2 usage or parse error (including the DNF size ceiling), 3 internal
-inconsistency (the decision procedure and the oracle disagree, or an
-engine invariant broke).
+inconsistency (the decision procedure and the oracle disagree, an engine
+invariant broke, or any other unexpected error, printed with its traceback).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import argparse
 import json
 import re
 import sys
+import traceback
 from typing import Sequence
 
 from .dnf import DnfLimitError
@@ -294,6 +295,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (EngineError, UnsatisfiableProductError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # Anything else is a crash, which must never read as "no" (exit 1).
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return 3
 
 

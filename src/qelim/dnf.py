@@ -4,18 +4,23 @@ A ``Literal`` is a signed atom, a ``Product`` a conjunction of literals, a
 ``Dnf`` a disjunction of products.  The empty product means truth and the
 empty DNF means falsity, matching ``interpret_product`` / ``interpret_dnf``.
 
-``to_dnf`` converts any quantifier-free formula by computing positive and
-negative DNFs side by side, so implication needs no separate negation pass:
-the positive track of ``Implies(a, b)`` is ``neg(a) + pos(b)`` and the
-negative track is the pairwise product of ``pos(a)`` with ``neg(b)``.  The
-De Morgan steps this relies on are sound here because atoms are decidable.
+``to_dnf`` builds one DNF, directed by polarity: each subformula is
+converted in the polarity it is needed in, so negation and implication need
+no separate pass.  ``Or`` takes the union of its sides' products and ``And``
+their pairwise product; under negative polarity the two swap (De Morgan,
+sound here because atoms are decidable).  ``Implies(a, b)`` is read as
+``Or(not a, b)``, so only its left side flips polarity.
+
+The theory hooks run once per atom occurrence, at the leaf.  A product under
+construction maps the key ``(positive, canonical_atom(atom))`` to the first
+literal with that key, so the pairwise product only merges two maps.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .formula import (
     And,
@@ -103,10 +108,13 @@ def interpret_dnf(d: Dnf) -> Formula:
     return acc
 
 
-LiteralTruth = Callable[[Literal], Truth]
-CanonicalAtom = Callable[[Any], Any]
-
-_Track = list[tuple[Literal, ...]]
+if TYPE_CHECKING:
+    # Annotation-only: typing's subscription cache would otherwise hold these
+    # aliases, and through them every imported copy of this module.
+    LiteralTruth = Callable[[Literal], Truth]
+    CanonicalAtom = Callable[[Any], Any]
+    # A product under construction: canonical key -> first literal with it.
+    _Lits = dict[tuple[bool, Any], Literal]
 
 
 def to_dnf(
@@ -121,80 +129,78 @@ def to_dnf(
     When a ``literal_truth`` hook is supplied, trivially true literals are
     dropped from their product and a trivially false literal drops the whole
     product.  Duplicate literals are removed, keyed on ``canonical_atom``
-    when given.  ``max_products`` bounds either track; crossing it raises
-    DnfLimitError.
+    when given; the first occurrence is kept.  ``max_products`` bounds every
+    intermediate DNF built on the way, each of the polarity its subformula
+    is needed in; crossing it raises DnfLimitError.
     """
-    pos, _neg = _tracks(phi, literal_truth, canonical_atom, max_products)
-    return Dnf(tuple(Product(lits, phi.arity) for lits in pos), phi.arity)
+    products = _dnf(phi, True, literal_truth, canonical_atom, max_products)
+    return Dnf(tuple(Product(tuple(p.values()), phi.arity) for p in products), phi.arity)
 
 
-def _tracks(
+def _dnf(
     phi: Formula,
+    positive: bool,
     literal_truth: LiteralTruth | None,
     canonical_atom: CanonicalAtom | None,
     max_products: int | None,
-) -> tuple[_Track, _Track]:
+) -> list[_Lits]:
+    """Products of phi when ``positive``, of its negation otherwise."""
     if isinstance(phi, Atom):
-        pos = _simplify_track([(Literal.pos(phi.atom),)], literal_truth, canonical_atom)
-        neg = _simplify_track([(Literal.neg(phi.atom),)], literal_truth, canonical_atom)
-        return pos, neg
+        lits: _Lits = {}
+        if _admit(Literal(positive, phi.atom), lits, literal_truth, canonical_atom):
+            return [lits]
+        return []
     if isinstance(phi, Falsum):
-        return [], [()]
-    if isinstance(phi, Or):
-        lp, ln = _tracks(phi.lhs, literal_truth, canonical_atom, max_products)
-        rp, rn = _tracks(phi.rhs, literal_truth, canonical_atom, max_products)
-        pos = _union(lp, rp, max_products)
-        neg = _cross(ln, rn, literal_truth, canonical_atom, max_products)
-        return pos, neg
-    if isinstance(phi, And):
-        lp, ln = _tracks(phi.lhs, literal_truth, canonical_atom, max_products)
-        rp, rn = _tracks(phi.rhs, literal_truth, canonical_atom, max_products)
-        pos = _cross(lp, rp, literal_truth, canonical_atom, max_products)
-        neg = _union(ln, rn, max_products)
-        return pos, neg
-    if isinstance(phi, Implies):
-        lp, ln = _tracks(phi.lhs, literal_truth, canonical_atom, max_products)
-        rp, rn = _tracks(phi.rhs, literal_truth, canonical_atom, max_products)
-        pos = _union(ln, rp, max_products)
-        neg = _cross(lp, rn, literal_truth, canonical_atom, max_products)
-        return pos, neg
+        return [] if positive else [{}]
+    if isinstance(phi, (Or, And, Implies)):
+        # Implies(a, b) reads as Or(not a, b): only its left side flips.
+        lhs_positive = positive != isinstance(phi, Implies)
+        lhs = _dnf(phi.lhs, lhs_positive, literal_truth, canonical_atom, max_products)
+        rhs = _dnf(phi.rhs, positive, literal_truth, canonical_atom, max_products)
+        # De Morgan: a negated Or/Implies is a conjunction, a negated And a
+        # disjunction.  Sound because atoms are decidable.
+        if isinstance(phi, And) != positive:
+            return _union(lhs, rhs, max_products)
+        return _cross(lhs, rhs, max_products)
     raise NotQuantifierFree(f"to_dnf on quantified formula: {phi!r}")
 
 
-def _union(a: _Track, b: _Track, max_products: int | None) -> _Track:
-    out = a + b
-    _check_limit(out, max_products)
-    return out
+def _union(a: list[_Lits], b: list[_Lits], max_products: int | None) -> list[_Lits]:
+    _check_limit(len(a) + len(b), max_products)
+    return a + b
 
 
-def _cross(
-    a: _Track,
-    b: _Track,
-    literal_truth: LiteralTruth | None,
-    canonical_atom: CanonicalAtom | None,
-    max_products: int | None,
-) -> _Track:
-    out: _Track = []
+def _cross(a: list[_Lits], b: list[_Lits], max_products: int | None) -> list[_Lits]:
+    # Both sides are already simplified and the hooks are pure, so merging
+    # two products only drops keys the left one already has: no hook runs,
+    # no product collapses, and the result has exactly len(a) * len(b).
+    _check_limit(len(a) * len(b), max_products)
+    out: list[_Lits] = []
     for xs in a:
         for ys in b:
-            lits = simplify_literals(xs + ys, literal_truth, canonical_atom)
-            if lits is not None:
-                out.append(lits)
-            _check_limit(out, max_products)
+            merged = xs.copy()
+            for key, lit in ys.items():
+                merged.setdefault(key, lit)
+            out.append(merged)
     return out
 
 
-def _simplify_track(
-    track: _Track,
+def _admit(
+    lit: Literal,
+    lits: _Lits,
     literal_truth: LiteralTruth | None,
     canonical_atom: CanonicalAtom | None,
-) -> _Track:
-    out: _Track = []
-    for lits in track:
-        kept = simplify_literals(lits, literal_truth, canonical_atom)
-        if kept is not None:
-            out.append(kept)
-    return out
+) -> bool:
+    """Add lit to a product unless a duplicate is there; False when lit is false."""
+    if literal_truth is not None:
+        verdict = literal_truth(lit)
+        if verdict is Truth.TRUE:
+            return True
+        if verdict is Truth.FALSE:
+            return False
+    key_atom = canonical_atom(lit.atom) if canonical_atom is not None else lit.atom
+    lits.setdefault((lit.positive, key_atom), lit)
+    return True
 
 
 def simplify_literals(
@@ -203,26 +209,15 @@ def simplify_literals(
     canonical_atom: CanonicalAtom | None,
 ) -> tuple[Literal, ...] | None:
     """Drop true literals and duplicates; None when a literal is false."""
-    out: list[Literal] = []
-    seen: set[tuple[bool, Any]] = set()
+    out: _Lits = {}
     for lit in lits:
-        if literal_truth is not None:
-            verdict = literal_truth(lit)
-            if verdict is Truth.TRUE:
-                continue
-            if verdict is Truth.FALSE:
-                return None
-        key_atom = canonical_atom(lit.atom) if canonical_atom is not None else lit.atom
-        key = (lit.positive, key_atom)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(lit)
-    return tuple(out)
+        if not _admit(lit, out, literal_truth, canonical_atom):
+            return None
+    return tuple(out.values())
 
 
-def _check_limit(track: _Track, max_products: int | None) -> None:
-    if max_products is not None and len(track) > max_products:
+def _check_limit(count: int, max_products: int | None) -> None:
+    if max_products is not None and count > max_products:
         raise DnfLimitError(
             f"DNF has more than {max_products} products; raise the limit to proceed"
         )

@@ -21,7 +21,7 @@ provider function for a universal, and mirrored forms on the refuting side
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Protocol, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, Sequence
 
 Environment = tuple
 
@@ -70,77 +70,60 @@ class Falsum(Formula):
 
 
 @dataclass(frozen=True)
-class Or(Formula):
+class _Connective(Formula):
+    """Shared shape of Or, And and Implies: both sides have one arity."""
+
     lhs: Formula
     rhs: Formula
+    # Set at construction so that reading it never walks the spine below:
+    # the parser and lift_qe build chains thousands of nodes deep.
+    arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lhs.arity != self.rhs.arity:
             raise ArityError(
-                f"arity mismatch in Or: {self.lhs.arity} vs {self.rhs.arity}"
+                f"arity mismatch in {type(self).__name__}: "
+                f"{self.lhs.arity} vs {self.rhs.arity}"
             )
-
-    @property
-    def arity(self) -> int:
-        return self.lhs.arity
+        object.__setattr__(self, "arity", self.lhs.arity)
 
 
 @dataclass(frozen=True)
-class And(Formula):
-    lhs: Formula
-    rhs: Formula
-
-    def __post_init__(self) -> None:
-        if self.lhs.arity != self.rhs.arity:
-            raise ArityError(
-                f"arity mismatch in And: {self.lhs.arity} vs {self.rhs.arity}"
-            )
-
-    @property
-    def arity(self) -> int:
-        return self.lhs.arity
+class Or(_Connective):
+    pass
 
 
 @dataclass(frozen=True)
-class Implies(Formula):
-    lhs: Formula
-    rhs: Formula
-
-    def __post_init__(self) -> None:
-        if self.lhs.arity != self.rhs.arity:
-            raise ArityError(
-                f"arity mismatch in Implies: {self.lhs.arity} vs {self.rhs.arity}"
-            )
-
-    @property
-    def arity(self) -> int:
-        return self.lhs.arity
+class And(_Connective):
+    pass
 
 
 @dataclass(frozen=True)
-class Exists(Formula):
+class Implies(_Connective):
+    pass
+
+
+@dataclass(frozen=True)
+class _Binder(Formula):
+    """Shared shape of Exists and Forall: the body binds index 0."""
+
     body: Formula
+    arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.body.arity < 1:
-            raise ArityError("Exists body must bind at least index 0")
-
-    @property
-    def arity(self) -> int:
-        return self.body.arity - 1
+            raise ArityError(f"{type(self).__name__} body must bind at least index 0")
+        object.__setattr__(self, "arity", self.body.arity - 1)
 
 
 @dataclass(frozen=True)
-class Forall(Formula):
-    body: Formula
+class Exists(_Binder):
+    pass
 
-    def __post_init__(self) -> None:
-        if self.body.arity < 1:
-            raise ArityError("Forall body must bind at least index 0")
 
-    @property
-    def arity(self) -> int:
-        return self.body.arity - 1
+@dataclass(frozen=True)
+class Forall(_Binder):
+    pass
 
 
 def mk_not(phi: Formula) -> Formula:
@@ -360,7 +343,9 @@ class No(Decision):
     refutation: Refutation
 
 
-Sampler = Callable[[Formula, Environment], Iterable[int]]
+if TYPE_CHECKING:
+    # Annotation-only, as in ``dnf``: typing's cache would pin this module.
+    Sampler = Callable[[Formula, Environment], Iterable[int]]
 
 
 def _default_samples(body: Formula, env: Environment) -> Iterable[int]:

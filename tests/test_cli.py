@@ -186,6 +186,13 @@ def test_dnf_limit_exit_2(capsys):
     assert "error:" in err
 
 
+def test_dnf_limit_bounds_only_the_polarity_needed(capsys):
+    # 14 products under the existential; its negation would have 2^14.
+    phi = "exists x. " + " | ".join(f"(x = {2 * i} & y != {i})" for i in range(14))
+    code, out, _ = run(capsys, "decide", phi, "--env", "y=3")
+    assert (code, out) == (0, "yes\n")
+
+
 def test_no_arguments_and_help(capsys):
     assert run(capsys, )[0] == 2
     code, out, _ = run(capsys, "--help")
@@ -201,6 +208,26 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     code, _, err = run(capsys, "decide", "false")
     assert code == 3
     assert "internal error" in err
+
+
+def test_unexpected_exception_exits_3_with_traceback(monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "decide", crash)
+    code, out, err = run(capsys, "decide", "false")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error:")
+    assert "Traceback" in err and "RecursionError" in err
+
+
+def test_machine_sized_input_never_reads_as_no(capsys):
+    # A true formula: decided yes, or a crash reported as internal (3).
+    phi = "exists x. " + " | ".join(f"x = {i}" for i in range(3000))
+    code, _, err = run(capsys, "decide", phi)
+    assert code in (0, 3)
+    if code == 3:
+        assert err.startswith("internal error:")
 
 
 def test_entry_raises_system_exit(monkeypatch, capsys):

@@ -1,5 +1,9 @@
-"""DNF conversion: interpretation, the dual-track construction, hooks."""
+"""DNF conversion: interpretation, the polarity-directed construction, hooks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -28,6 +32,8 @@ from qelim import (
     var_term,
     zero_term,
 )
+import qelim
+from qelim.dnf import simplify_literals
 from qelim.successor import canonicalize, literal_truth
 from randgen import random_env, random_qfree
 
@@ -140,6 +146,47 @@ def test_to_dnf_with_theory_hooks_preserves_evaluation():
             assert eval_qfree(back, env) == eval_qfree(phi, env)
 
 
+def naive_products(phi: Formula, positive: bool = True) -> list[tuple[Literal, ...]]:
+    """Textbook DNF of phi (or of its negation): full expansion, no hooks."""
+    if isinstance(phi, Atom):
+        return [(Literal(positive, phi.atom),)]
+    if isinstance(phi, Falsum):
+        return [] if positive else [()]
+    if isinstance(phi, Or):  # ~(a | b) == ~a & ~b
+        signs, conjunction = (positive, positive), not positive
+    elif isinstance(phi, And):  # ~(a & b) == ~a | ~b
+        signs, conjunction = (positive, positive), positive
+    else:  # a -> b == ~a | b;  ~(a -> b) == a & ~b
+        signs, conjunction = (not positive, positive), not positive
+    left = naive_products(phi.lhs, signs[0])
+    right = naive_products(phi.rhs, signs[1])
+    if conjunction:
+        return [xs + ys for xs in left for ys in right]
+    return left + right
+
+
+@pytest.mark.parametrize(
+    "hooks",
+    [{}, {"literal_truth": literal_truth, "canonical_atom": canonicalize}],
+    ids=["plain", "theory-hooks"],
+)
+def test_to_dnf_matches_naive_expansion_then_simplify(hooks):
+    # Exact products, order included: simplifying once at the leaves and
+    # merging keyed products must equal simplifying each expanded product.
+    rng = Random(23)
+    for _ in range(500):
+        arity = rng.randint(0, 3)
+        phi = random_qfree(rng, arity, 5)
+        expected = []
+        for lits in naive_products(phi):
+            kept = simplify_literals(
+                lits, hooks.get("literal_truth"), hooks.get("canonical_atom")
+            )
+            if kept is not None:
+                expected.append(kept)
+        assert [p.literals for p in to_dnf(phi, **hooks).products] == expected
+
+
 # --- simplification hooks --------------------------------------------------------
 
 
@@ -187,6 +234,17 @@ def test_max_products_limit_enforced():
         to_dnf(phi, max_products=15)
 
 
+def test_max_products_bounds_only_the_polarity_built():
+    # 14 disjuncts of two atoms: 14 products, while the negation has 2^14.
+    atoms = [Atom(SNAtom(var_term(0), zero_term(k)), 1) for k in range(28)]
+    phi = And(atoms[0], atoms[1])
+    for i in range(1, 14):
+        phi = Or(phi, And(atoms[2 * i], atoms[2 * i + 1]))
+    assert len(to_dnf(phi, max_products=14).products) == 14
+    with pytest.raises(DnfLimitError):
+        to_dnf(phi, max_products=13)
+
+
 # --- literal helpers ----------------------------------------------------------------
 
 
@@ -215,3 +273,26 @@ def test_product_and_dnf_coerce_sequences():
     assert p.literals == (Literal.pos(A),)
     d = Dnf([p], 1)  # type: ignore[arg-type]
     assert d.products == (p,)
+
+
+def test_reimport_does_not_pin_the_old_modules():
+    # Module-level typing aliases would sit in typing's cache and keep every
+    # imported copy of the package alive.
+    code = """
+import gc, importlib, sys, weakref
+
+def fresh():
+    for name in [m for m in sys.modules if m == "qelim" or m.startswith("qelim.")]:
+        del sys.modules[name]
+    return importlib.import_module("qelim")
+
+refs = [weakref.ref(fresh().dnf.Literal), weakref.ref(sys.modules["qelim.formula"].Formula)]
+fresh()
+gc.collect()
+sys.exit(0 if all(ref() is None for ref in refs) else 1)
+"""
+    src = str(Path(qelim.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60
+    )
+    assert done.returncode == 0

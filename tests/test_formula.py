@@ -79,6 +79,20 @@ def test_quantifier_needs_body_arity_at_least_one():
         Forall(Falsum(0))
 
 
+def test_arity_is_a_field_set_at_construction():
+    # A left-deep chain far past the recursion limit: reading arity on each
+    # new node must not walk the spine below it.
+    phi = x_eq(0)
+    for k in range(1, 5000):
+        phi = Or(phi, x_eq(k))
+    assert phi.arity == 1
+    assert Forall(And(phi, phi)).arity == 0
+    # The cached field stays out of repr and equality.
+    assert repr(Or(Falsum(1), Falsum(1))) == "Or(lhs=Falsum(arity=1), rhs=Falsum(arity=1))"
+    assert Implies(Falsum(2), Falsum(2)) == mk_not(Falsum(2))
+    assert Or(Falsum(0), Falsum(0)) != And(Falsum(0), Falsum(0))
+
+
 def test_extend_prepends_innermost_value():
     assert extend((5,), 9) == (9, 5)
     assert extend((), 3) == (3,)
