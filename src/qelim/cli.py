@@ -34,6 +34,7 @@ from .engine import (
     decide,
     forall_or_counterexample,
     instantiate_universal,
+    lift,
     lift_qe,
 )
 from .formula import (
@@ -41,8 +42,6 @@ from .formula import (
     Consequent,
     Counterexample,
     Evidence,
-    NegAntecedent,
-    No,
     OrLeft,
     OrRight,
     UniversalEvidence,
@@ -74,14 +73,24 @@ def _parse_env(pairs: Sequence[str]) -> tuple[list[str], tuple[int, ...]]:
         if name in names:
             raise UsageError(f"--env name {name!r} given twice")
         try:
-            value = int(raw)
-        except ValueError:
-            raise UsageError(f"--env value for {name!r} must be a natural: {raw!r}")
-        if value < 0:
+            value = _int_at_least(0)(raw)
+        except (ValueError, argparse.ArgumentTypeError):
             raise UsageError(f"--env value for {name!r} must be a natural: {raw!r}")
         names.append(name)
         values.append(value)
     return names, tuple(values)
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _parse_formula(text: str, names: Sequence[str]):
@@ -105,8 +114,6 @@ def _witnesses(ev: Evidence) -> list[int]:
         return _witnesses(ev.left) + _witnesses(ev.right)
     if isinstance(ev, Consequent):
         return _witnesses(ev.evidence)
-    if isinstance(ev, (NegAntecedent, UniversalEvidence)):
-        return []
     return []
 
 
@@ -121,12 +128,10 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 def _cmd_decide(args: argparse.Namespace) -> int:
     names, values = _parse_env(args.env)
     phi = _parse_formula(args.formula, names)
-    limit = args.dnf_limit
-    decision = decide(STEP, phi, values, max_products=limit)
-    qf = pretty(lift_qe(STEP, phi, max_products=limit), names)
-    payload: dict = {"qf_equivalent": qf}
+    lifted = lift(STEP, phi, max_products=args.dnf_limit)
+    decision = lifted.decide(values)
+    payload: dict = {"qf_equivalent": pretty(lifted.qf, names)}
     lines: list[str] = []
-    code: int
     if isinstance(decision, Yes):
         payload["result"] = "yes"
         lines.append("yes")
@@ -245,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine readable output")
         p.add_argument(
             "--dnf-limit",
-            type=int,
+            type=_int_at_least(1),
             default=DEFAULT_DNF_LIMIT,
             metavar="N",
             help=f"abort if any DNF exceeds N products (default {DEFAULT_DNF_LIMIT})",
@@ -257,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--instantiate",
         action="append",
-        type=int,
+        type=_int_at_least(0),
         default=[],
         metavar="N",
         help="with --evidence on a universal: check the instance at N",
@@ -287,10 +292,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except (ParseError, UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DnfLimitError as exc:
+    except (ParseError, UsageError, DnfLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EngineError, UnsatisfiableProductError) as exc:

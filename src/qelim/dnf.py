@@ -47,7 +47,7 @@ class DnfLimitError(RuntimeError):
     """The product count blew past the configured ceiling."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     positive: bool
     atom: Any
@@ -68,7 +68,7 @@ class Literal:
         return node if self.positive else mk_not(node)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product:
     literals: tuple[Literal, ...]
     arity: int
@@ -77,7 +77,7 @@ class Product:
         object.__setattr__(self, "literals", tuple(self.literals))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dnf:
     products: tuple[Product, ...]
     arity: int

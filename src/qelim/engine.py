@@ -1,22 +1,26 @@
 """Theory-generic quantifier elimination engine.
 
 Given a single-variable elimination step for products (the ``ProdQEStep``
-protocol), ``lift_qe`` removes every quantifier from a formula working
-inside out, with no prenex normal form: each quantifier is eliminated from
-the already quantifier-free result of recursing into its body.  An
-existential becomes the disjunction of per-product eliminations of the
-body's DNF; a universal is the negation of the eliminated negation, which
-is constructively fine because quantifier-free formulas are decidable.
+protocol), ``lift`` removes every quantifier from a formula working inside
+out, with no prenex normal form: each quantifier is eliminated from the
+already quantifier-free result of lifting its body.  An existential becomes
+the disjunction of per-product eliminations of the body's DNF; a universal
+is the negation of the eliminated negation, which is constructively fine
+because quantifier-free formulas are decidable.
 
-``decide`` then evaluates the quantifier-free equivalent and rebuilds
-constructive evidence over the original formula: witness values come from
-the theory's ``prod_witness`` on the first true product, universal evidence
-is a deferred provider that re-runs decision for any requested value, and
-refutations mirror the same structure.
+``lift`` keeps what it computed as a tree of ``Lifted`` nodes; ``decide``
+lifts once and decides each node once per environment from its children's
+decisions.  A binder's witness or counterexample comes from the first
+stored product whose elimination holds, through the theory's
+``prod_witness``.  Universal evidence and refuted existentials are deferred
+providers over the lifted body: they only re-evaluate the stored
+eliminations, and never lift or build a DNF again.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import partial
 from typing import Protocol, Sequence
 
 from .dnf import Dnf, Literal, Product, Truth, to_dnf
@@ -79,74 +83,89 @@ class ProdQEStep(Protocol):
     def literal_truth(self, lit: Literal) -> Truth: ...
 
 
-def _theory_dnf(step: ProdQEStep, phi: Formula, max_products: int | None) -> Dnf:
-    return to_dnf(
-        phi,
-        literal_truth=step.literal_truth,
-        canonical_atom=getattr(step, "canonical_atom", None),
-        max_products=max_products,
-    )
-
-
 def eliminate_dnf(step: ProdQEStep, d: Dnf) -> Formula:
     """Disjunction of per-product eliminations; empty DNF gives Falsum."""
     if d.arity < 1:
         raise ValueError("eliminate_dnf needs arity at least 1")
-    if not d.products:
-        return Falsum(d.arity - 1)
-    parts = [step.eliminate_product(p) for p in d.products]
+    return _disjoin([step.eliminate_product(p) for p in d.products], d.arity - 1)
+
+
+def _disjoin(parts: list[Formula], arity: int) -> Formula:
+    """Right-nested disjunction of parts; no parts gives Falsum."""
+    if not parts:
+        return Falsum(arity)
     acc = parts[-1]
     for part in reversed(parts[:-1]):
         acc = Or(part, acc)
     return acc
 
 
+@dataclass(eq=False, repr=False, slots=True)
+class Lifted:
+    """A formula lifted once, with what deciding it under any environment needs.
+
+    ``qf`` is the quantifier-free equivalent of ``phi``; ``subs`` the lifted
+    sides or body, where a quantifier-free subformula stands for itself.  A
+    binder keeps the ``products`` of the DNF it eliminated (of the body for
+    ``Exists``, of its negation for ``Forall``) and their eliminations
+    ``parts``, position by position.
+    """
+
+    step: ProdQEStep
+    phi: Formula
+    qf: Formula
+    subs: tuple[Lifted | Formula, ...] = ()
+    products: tuple[Product, ...] = ()
+    parts: Sequence[Formula] = ()
+
+    def decide(self, env: Sequence = ()) -> Decision:
+        """Decide phi under env, with evidence or a refutation to show for it."""
+        truth, term = _decide(self, check_env(self.phi, env))
+        return Yes(term) if truth else No(term)
+
+
+def lift(step: ProdQEStep, phi: Formula, *, max_products: int | None = None) -> Lifted:
+    """Lift phi in one inside-out pass, keeping every node's QF equivalent."""
+    node = _lift(step, phi, max_products)
+    return node if isinstance(node, Lifted) else Lifted(step, phi, phi)
+
+
+def _lift(step: ProdQEStep, phi: Formula, max_products: int | None) -> Lifted | Formula:
+    """phi itself when it is quantifier-free, its Lifted node otherwise."""
+    if isinstance(phi, (Atom, Falsum)):
+        return phi
+    if isinstance(phi, (Or, And, Implies)):
+        lhs = _lift(step, phi.lhs, max_products)
+        rhs = _lift(step, phi.rhs, max_products)
+        if lhs is phi.lhs and rhs is phi.rhs:
+            return phi
+        return Lifted(step, phi, type(phi)(_qf(lhs), _qf(rhs)), (lhs, rhs))
+    if isinstance(phi, (Exists, Forall)):
+        body = _lift(step, phi.body, max_products)
+        universal = isinstance(phi, Forall)
+        products = to_dnf(
+            mk_not(_qf(body)) if universal else _qf(body),
+            literal_truth=step.literal_truth,
+            canonical_atom=getattr(step, "canonical_atom", None),
+            max_products=max_products,
+        ).products
+        parts = [step.eliminate_product(p) for p in products]
+        qf = _disjoin(parts, phi.arity)
+        if universal:
+            qf = mk_not(qf)
+        return Lifted(step, phi, qf, (body,), products, parts)
+    raise TypeError(f"not a Formula: {phi!r}")
+
+
+def _qf(node: Lifted | Formula) -> Formula:
+    return node.qf if isinstance(node, Lifted) else node
+
+
 def lift_qe(
     step: ProdQEStep, phi: Formula, *, max_products: int | None = None
 ) -> Formula:
     """Quantifier-free equivalent of phi at the same arity."""
-    if isinstance(phi, (Atom, Falsum)):
-        return phi
-    if isinstance(phi, Or):
-        return Or(
-            lift_qe(step, phi.lhs, max_products=max_products),
-            lift_qe(step, phi.rhs, max_products=max_products),
-        )
-    if isinstance(phi, And):
-        return And(
-            lift_qe(step, phi.lhs, max_products=max_products),
-            lift_qe(step, phi.rhs, max_products=max_products),
-        )
-    if isinstance(phi, Implies):
-        return Implies(
-            lift_qe(step, phi.lhs, max_products=max_products),
-            lift_qe(step, phi.rhs, max_products=max_products),
-        )
-    if isinstance(phi, Exists):
-        body = lift_qe(step, phi.body, max_products=max_products)
-        return eliminate_dnf(step, _theory_dnf(step, body, max_products))
-    if isinstance(phi, Forall):
-        body = lift_qe(step, phi.body, max_products=max_products)
-        negated = eliminate_dnf(step, _theory_dnf(step, mk_not(body), max_products))
-        return mk_not(negated)
-    raise TypeError(f"not a Formula: {phi!r}")
-
-
-def _truth(
-    step: ProdQEStep, phi: Formula, env: Environment, max_products: int | None
-) -> bool:
-    return eval_qfree(lift_qe(step, phi, max_products=max_products), env)
-
-
-def _first_witness(
-    step: ProdQEStep, qfree: Formula, env: Environment, max_products: int | None
-) -> int:
-    """Witness from the first product whose elimination is true under env."""
-    d = _theory_dnf(step, qfree, max_products)
-    for p in d.products:
-        if eval_qfree(step.eliminate_product(p), env):
-            return step.prod_witness(p, env)
-    raise EngineError("no true product although the existential decided true")
+    return _qf(_lift(step, phi, max_products))
 
 
 def decide(
@@ -157,101 +176,68 @@ def decide(
     max_products: int | None = None,
 ) -> Decision:
     """Decide phi under env, with evidence or a refutation to show for it."""
-    env = check_env(phi, env)
-    if _truth(step, phi, env, max_products):
-        return Yes(_evidence(step, phi, env, max_products))
-    return No(_refutation(step, phi, env, max_products))
+    return lift(step, phi, max_products=max_products).decide(env)
 
 
-def _evidence(
-    step: ProdQEStep, phi: Formula, env: Environment, max_products: int | None
-) -> Evidence:
+# Leaf terms carry no data, so every leaf decision can share one.
+_HOLDS = (True, AtomHolds())
+_FAILS = (False, AtomFails())
+_FALSUM = (False, FalsumRefuted())
+
+
+def _decide(
+    node: Lifted | Formula, env: Environment
+) -> tuple[bool, Evidence | Refutation]:
+    """Truth under env, with evidence if true, a refutation if not.
+
+    Left sides first, right sides only when the term needs them.
+    """
+    phi, subs = (node.phi, node.subs) if isinstance(node, Lifted) else (node, ())
     if isinstance(phi, Atom):
-        return AtomHolds()
+        return _HOLDS if phi.atom.holds(env) else _FAILS
     if isinstance(phi, Falsum):
-        raise EngineError("no evidence exists for Falsum")
+        return _FALSUM
+    if isinstance(phi, (Exists, Forall)):
+        return _decide_binder(node, env)
+    lhs_node, rhs_node = subs or (phi.lhs, phi.rhs)
+    lhs_true, lhs = _decide(lhs_node, env)
     if isinstance(phi, Or):
-        if _truth(step, phi.lhs, env, max_products):
-            return OrLeft(_evidence(step, phi.lhs, env, max_products))
-        return OrRight(_evidence(step, phi.rhs, env, max_products))
+        if lhs_true:
+            return True, OrLeft(lhs)
+        rhs_true, rhs = _decide(rhs_node, env)
+        return (True, OrRight(rhs)) if rhs_true else (False, NeitherHolds(lhs, rhs))
     if isinstance(phi, And):
-        return Both(
-            _evidence(step, phi.lhs, env, max_products),
-            _evidence(step, phi.rhs, env, max_products),
-        )
-    if isinstance(phi, Implies):
-        if _truth(step, phi.lhs, env, max_products):
-            return Consequent(_evidence(step, phi.rhs, env, max_products))
-        return NegAntecedent(_refutation(step, phi.lhs, env, max_products))
-    if isinstance(phi, Exists):
-        body = lift_qe(step, phi.body, max_products=max_products)
-        value = _first_witness(step, body, env, max_products)
-        return Witness(value, _evidence(step, phi.body, extend(env, value), max_products))
-    if isinstance(phi, Forall):
-        return UniversalEvidence(_universal_provider(step, phi.body, env, max_products))
-    raise TypeError(f"not a Formula: {phi!r}")
+        if not lhs_true:
+            return False, LeftFails(lhs)
+        rhs_true, rhs = _decide(rhs_node, env)
+        return (True, Both(lhs, rhs)) if rhs_true else (False, RightFails(rhs))
+    if not lhs_true:
+        return True, NegAntecedent(lhs)
+    rhs_true, rhs = _decide(rhs_node, env)
+    return (True, Consequent(rhs)) if rhs_true else (False, Unimplied(lhs, rhs))
 
 
-def _universal_provider(
-    step: ProdQEStep, body: Formula, env: Environment, max_products: int | None
-):
-    def provide(value: int) -> Evidence:
-        inner = extend(env, value)
-        if not _truth(step, body, inner, max_products):
-            raise EngineError(
-                f"universal evidence queried at {value} where the body fails"
-            )
-        return _evidence(step, body, inner, max_products)
-
-    return provide
-
-
-def _existential_refuter(
-    step: ProdQEStep, body: Formula, env: Environment, max_products: int | None
-):
-    def refute(value: int) -> Refutation:
-        inner = extend(env, value)
-        if _truth(step, body, inner, max_products):
-            raise EngineError(
-                f"existential refutation queried at {value} where the body holds"
-            )
-        return _refutation(step, body, inner, max_products)
-
-    return refute
+def _decide_binder(node: Lifted, env: Environment) -> tuple[bool, Evidence | Refutation]:
+    """The first eliminated product that holds gives a witness or counterexample."""
+    (body,) = node.subs
+    universal = isinstance(node.phi, Forall)
+    for product, part in zip(node.products, node.parts):
+        if eval_qfree(part, env):
+            value = node.step.prod_witness(product, env)
+            if universal:
+                return False, Counterexample(value, _body_term(body, env, value, False))
+            return True, Witness(value, _body_term(body, env, value, True))
+    if universal:
+        return True, UniversalEvidence(partial(_body_term, body, env, holds=True))
+    return False, ExistsRefuted(partial(_body_term, body, env, holds=False))
 
 
-def _refutation(
-    step: ProdQEStep, phi: Formula, env: Environment, max_products: int | None
-) -> Refutation:
-    if isinstance(phi, Falsum):
-        return FalsumRefuted()
-    if isinstance(phi, Atom):
-        return AtomFails()
-    if isinstance(phi, Or):
-        return NeitherHolds(
-            _refutation(step, phi.lhs, env, max_products),
-            _refutation(step, phi.rhs, env, max_products),
-        )
-    if isinstance(phi, And):
-        if not _truth(step, phi.lhs, env, max_products):
-            return LeftFails(_refutation(step, phi.lhs, env, max_products))
-        return RightFails(_refutation(step, phi.rhs, env, max_products))
-    if isinstance(phi, Implies):
-        return Unimplied(
-            _evidence(step, phi.lhs, env, max_products),
-            _refutation(step, phi.rhs, env, max_products),
-        )
-    if isinstance(phi, Exists):
-        return ExistsRefuted(_existential_refuter(step, phi.body, env, max_products))
-    if isinstance(phi, Forall):
-        # A false universal is a true negated existential; reuse its pipeline
-        # to land on a concrete counterexample value.
-        body = mk_not(lift_qe(step, phi.body, max_products=max_products))
-        value = _first_witness(step, body, env, max_products)
-        return Counterexample(
-            value, _refutation(step, phi.body, extend(env, value), max_products)
-        )
-    raise TypeError(f"not a Formula: {phi!r}")
+def _body_term(body: Lifted | Formula, env: Environment, value: int, holds: bool):
+    """The body's evidence (holds) or refutation (not) at value, as lifted."""
+    truth, term = _decide(body, extend(env, value))
+    if truth != holds:
+        raise EngineError(f"the body decides against its lift at {value}")
+    return term
 
 
 def lem(

@@ -48,7 +48,7 @@ class Formula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom(Formula):
     atom: Any
     arity: int
@@ -60,7 +60,7 @@ class Atom(Formula):
             raise ArityError(f"atom {self.atom!r} does not fit arity {self.arity}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Falsum(Formula):
     arity: int
 
@@ -69,7 +69,7 @@ class Falsum(Formula):
             raise ArityError(f"negative arity {self.arity}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Connective(Formula):
     """Shared shape of Or, And and Implies: both sides have one arity."""
 
@@ -88,22 +88,22 @@ class _Connective(Formula):
         object.__setattr__(self, "arity", self.lhs.arity)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(_Connective):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(_Connective):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(_Connective):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Binder(Formula):
     """Shared shape of Exists and Forall: the body binds index 0."""
 
@@ -116,12 +116,12 @@ class _Binder(Formula):
         object.__setattr__(self, "arity", self.body.arity - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists(_Binder):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall(_Binder):
     pass
 
@@ -217,42 +217,42 @@ class Refutation:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomHolds(Evidence):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrLeft(Evidence):
     sub: Evidence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrRight(Evidence):
     sub: Evidence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Both(Evidence):
     left: Evidence
     right: Evidence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NegAntecedent(Evidence):
     """An implication holds because its antecedent is refuted."""
 
     refutation: Refutation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Consequent(Evidence):
     """An implication holds because its consequent holds."""
 
     evidence: Evidence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness(Evidence):
     """An existential holds at ``value`` with evidence for the body."""
 
@@ -260,7 +260,7 @@ class Witness(Evidence):
     sub: Evidence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UniversalEvidence(Evidence):
     """Deferred evidence for a universal: yields body evidence on demand.
 
@@ -275,33 +275,33 @@ class UniversalEvidence(Evidence):
         return self.provider(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FalsumRefuted(Refutation):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomFails(Refutation):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeitherHolds(Refutation):
     left: Refutation
     right: Refutation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeftFails(Refutation):
     sub: Refutation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RightFails(Refutation):
     sub: Refutation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unimplied(Refutation):
     """An implication fails: the antecedent holds yet the consequent fails."""
 
@@ -309,7 +309,7 @@ class Unimplied(Refutation):
     consequent: Refutation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Counterexample(Refutation):
     """A universal fails at ``value`` with a refutation of the body there."""
 
@@ -317,7 +317,7 @@ class Counterexample(Refutation):
     sub: Refutation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExistsRefuted(Refutation):
     """Deferred refutation of an existential: refutes the body at any value."""
 
@@ -333,12 +333,12 @@ class Decision:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Yes(Decision):
     evidence: Evidence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class No(Decision):
     refutation: Refutation
 

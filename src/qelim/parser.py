@@ -241,15 +241,15 @@ class SurfaceParser:
     def _term(self) -> SNTerm:
         kind, value, at = self._advance()
         if kind == "NAT":
-            return SNTerm(None, int(value))
+            return SNTerm(None, _numeral(value, at))
         if kind != "NAME":
             raise ParseError(f"expected a term, found {value!r}", at)
         index = self._resolve(value, at)
         shift = 0
         if self._peek()[0] == "+":
             self._advance()
-            _, nat, _ = self._expect("NAT")
-            shift = int(nat)
+            _, nat, nat_at = self._expect("NAT")
+            shift = _numeral(nat, nat_at)
         return SNTerm(index, shift)
 
     def _resolve(self, name: str, at: int) -> int:
@@ -260,6 +260,13 @@ class SurfaceParser:
             self.used_free_names.add(name)
             return len(self.binders) + self.free_vars.index(name)
         raise UnboundNameError(name, at)
+
+
+def _numeral(digits: str, at: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int() digit limit
+        raise ParseError(f"numeral of {len(digits)} digits is too long", at) from None
 
 
 def parse(text: str, free_vars: Sequence[str] = ()) -> Formula:

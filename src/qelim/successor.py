@@ -51,7 +51,7 @@ class PivotError(ValueError):
     """The designated pivot literal is not usable for substitution."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SNTerm:
     """``S^shift(base)`` where base is a variable index or zero (index None)."""
 
@@ -84,7 +84,7 @@ def zero_term(shift: int = 0) -> SNTerm:
     return SNTerm(None, shift)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SNAtom:
     """Equation between two successor terms."""
 

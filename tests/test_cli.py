@@ -5,7 +5,8 @@ import json
 import pytest
 
 import qelim.cli as cli
-from qelim import EngineError, STEP, decide, parse, Yes
+import qelim.engine
+from qelim import ArityError, EngineError, STEP, decide, parse, Yes
 from qelim.cli import main
 
 
@@ -169,6 +170,10 @@ def test_split_needs_exactly_one_free_name(capsys):
         ("decide", "x = 0"),
         ("decide", "x = ", "--env", "x=0"),
         ("decide", "forall x. forall x = 0",),
+        ("decide", "forall x. x = x", "--evidence", "--instantiate", "-1"),
+        ("decide", "exists x. x = 0", "--dnf-limit", "0"),
+        ("decide", "exists x. x = 0", "--dnf-limit", "-1"),
+        ("decide", "exists x. x = " + "9" * 5000),
     ],
 )
 def test_usage_and_parse_errors_exit_2(capsys, argv):
@@ -204,7 +209,7 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise EngineError("boom")
 
-    monkeypatch.setattr(cli, "decide", boom)
+    monkeypatch.setattr(cli, "lift", boom)
     code, _, err = run(capsys, "decide", "false")
     assert code == 3
     assert "internal error" in err
@@ -214,11 +219,48 @@ def test_unexpected_exception_exits_3_with_traceback(monkeypatch, capsys):
     def crash(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(cli, "decide", crash)
+    monkeypatch.setattr(cli, "lift", crash)
     code, out, err = run(capsys, "decide", "false")
     assert (code, out) == (3, "")
     assert err.startswith("internal error:")
     assert "Traceback" in err and "RecursionError" in err
+
+
+def test_internal_value_error_exits_3_with_traceback(monkeypatch, capsys):
+    # ArityError is a ValueError, but a bad arity inside the engine is a bug.
+    def bad_arity(*args, **kwargs):
+        raise ArityError("environment length 2 does not match arity 1")
+
+    monkeypatch.setattr(cli, "lift", bad_arity)
+    code, out, err = run(capsys, "decide", "false")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error:")
+    assert "Traceback" in err and "ArityError" in err
+
+
+def test_decide_lifts_each_binder_once(monkeypatch, capsys):
+    calls = []
+    real = qelim.engine.to_dnf
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qelim.engine, "to_dnf", counting)
+    cases = [
+        (SAMPLE0, 2),
+        (SAMPLE1, 2),
+        ("forall x. x = 0", 1),
+        ("exists x. " + " | ".join(f"x = {i}" for i in range(40)), 1),
+        ("(exists x. x = 3) & forall y. y = 0 | exists z. y = z+1", 3),
+    ]
+    for text, binders in cases:
+        calls.clear()
+        code = main(["decide", text, "--json", "--evidence", "--instantiate", "0",
+                     "--instantiate", "7"])
+        capsys.readouterr()
+        assert code in (0, 1)
+        assert len(calls) == binders, text
 
 
 def test_machine_sized_input_never_reads_as_no(capsys):

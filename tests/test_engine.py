@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import qelim.engine
 from qelim import (
     And,
     ArityError,
@@ -53,6 +54,7 @@ from qelim import (
     var_term,
     zero_term,
 )
+from qelim.successor import quantifier_count
 from randgen import random_env, random_formula
 from samples import sample0, sample1, sample1_body, sample2_body
 
@@ -268,3 +270,48 @@ def test_max_products_threads_through():
         decide(STEP, blowup, max_products=100)
     with pytest.raises(DnfLimitError):
         lift_qe(STEP, blowup, max_products=100)
+
+
+# --- one lift per decision -------------------------------------------------------------------
+
+
+def test_decide_and_every_provider_lift_each_binder_once(monkeypatch):
+    calls = []
+    real = qelim.engine.to_dnf
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qelim.engine, "to_dnf", counting)
+    rng = Random(48)
+    binders = 0
+    for _ in range(300):
+        arity = rng.randint(0, 2)
+        phi = random_formula(rng, arity, rng.randint(1, 5), 3)
+        env = random_env(rng, arity)
+        calls.clear()
+        decision = decide(STEP, phi, env)
+        # check_evidence queries every provider the decision carries.
+        assert check_evidence(decision, phi, env)
+        assert len(calls) == quantifier_count(phi), repr(phi)
+        binders += len(calls)
+    assert binders > 300
+
+
+def test_decide_wide_left_chain_is_linear(monkeypatch):
+    # exists x. x = 0 | ... | x = n-1, nested to the left as the parser builds it.
+    n = 200
+    body = x_eq(0)
+    for k in range(1, n):
+        body = Or(body, x_eq(k))
+    count = [0]
+    real = SNAtom.holds
+
+    def counting(self, env):
+        count[0] += 1
+        return real(self, env)
+
+    monkeypatch.setattr(SNAtom, "holds", counting)
+    assert isinstance(decide(STEP, Exists(body)), Yes)
+    assert count[0] <= 4 * n

@@ -87,6 +87,11 @@ def test_parse_error_carries_position():
         parse("(x = 0", ["x"])
     with pytest.raises(ParseError):
         parse("exists x.")
+    # Numerals past the interpreter's int() digit limit, as constant and shift.
+    with pytest.raises(ParseError):
+        parse("exists x. x = " + "9" * 5000)
+    with pytest.raises(ParseError):
+        parse("x+" + "9" * 5000 + " = 0", ["x"])
 
 
 def test_unbound_name_error():
