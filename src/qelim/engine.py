@@ -74,6 +74,8 @@ class ProdQEStep(Protocol):
     for index 0 when the eliminated product is true under the environment.
     ``literal_truth`` lets DNF construction drop decided literals.  A step
     may additionally offer ``canonical_atom`` for literal deduplication.
+    The hooks run on every literal occurrence, in every DNF and in every
+    elimination, so a theory should make them cheap for a repeated atom.
     """
 
     def eliminate_product(self, p: Product) -> Formula: ...

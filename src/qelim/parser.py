@@ -23,7 +23,9 @@ Shadowing is allowed; the innermost binder wins.
 any free names, operands of binary connectives are always parenthesized,
 ``Implies(p, Falsum)`` prints as ``~p`` (or with ``!=`` when p is an
 atom), and ``Implies(Falsum, Falsum)`` prints as ``true``.
-``parse(pretty(phi, ns), ns)`` reproduces phi exactly.
+``parse(pretty(phi, ns), ns)`` reproduces phi exactly when the printed
+text nests at most ``MAX_NESTING`` deep; every binary connective adds a
+level of parentheses, so a longer chain raises ParseError.
 """
 
 from __future__ import annotations

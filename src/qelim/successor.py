@@ -19,11 +19,14 @@ variable (index 0) is being removed:
    excludes at most one value; since the naturals are infinite, drop them;
 4. finally every index is at least 1: decrement each by one and read the
    product back as a formula one arity down.
+
+The hooks run on every literal occurrence, so each atom caches its
+canonical form: ``canonicalize`` fills the slot on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .dnf import Literal, Product, Truth, interpret_product, simplify_literals
@@ -90,6 +93,8 @@ class SNAtom:
 
     lhs: SNTerm
     rhs: SNTerm
+    # Filled by ``canonicalize`` on first use; a canonical atom points to itself.
+    _canonical: SNAtom | None = field(default=None, init=False, repr=False, compare=False)
 
     def holds(self, env: Sequence[int]) -> bool:
         return atom_eval(self, env)
@@ -123,20 +128,30 @@ def canonicalize(a: SNAtom) -> SNAtom:
 
     After canonicalization at least one side has shift 0; a lone variable
     side sits on the left; with two variables the smaller index is on the
-    left.  Canonicalization preserves truth under every environment.
+    left.  Canonicalization preserves truth under every environment.  The
+    result is cached on the atom, filled on first use; an atom that is
+    already canonical is its own result.
     """
+    canon = a._canonical
+    if canon is None:
+        canon = _canonical_form(a)
+        object.__setattr__(a, "_canonical", canon)
+    return canon
+
+
+def _canonical_form(a: SNAtom) -> SNAtom:
     lhs, rhs = a.lhs, a.rhs
     drop = min(lhs.shift, rhs.shift)
+    flip = (rhs.is_var and lhs.is_zero) or (
+        lhs.is_var and rhs.is_var and rhs.index < lhs.index
+    )
+    if not drop and not flip:
+        return a
     lhs = SNTerm(lhs.index, lhs.shift - drop)
     rhs = SNTerm(rhs.index, rhs.shift - drop)
-    flip = False
-    if rhs.is_var and lhs.is_zero:
-        flip = True
-    elif lhs.is_var and rhs.is_var and rhs.index < lhs.index:
-        flip = True
-    if flip:
-        lhs, rhs = rhs, lhs
-    return SNAtom(lhs, rhs)
+    canon = SNAtom(rhs, lhs) if flip else SNAtom(lhs, rhs)
+    object.__setattr__(canon, "_canonical", canon)
+    return canon
 
 
 def literal_truth(lit: Literal) -> Truth:

@@ -6,7 +6,7 @@ import pytest
 
 import qelim.cli as cli
 import qelim.engine
-from qelim import ArityError, EngineError, STEP, decide, parse, Yes
+from qelim import ArityError, EngineError, ParseError, STEP, decide, parse, Yes
 from qelim.cli import main
 
 
@@ -96,6 +96,20 @@ def test_decide_qf_equivalent_reparses_and_agrees(capsys):
         verdict = isinstance(decide(STEP, reparsed, values), Yes)
         assert verdict == (payload["result"] == "yes")
         assert (code == 0) == verdict
+
+
+def test_decide_qf_equivalent_past_the_nesting_cap_is_a_parse_error(capsys):
+    # One parenthesis level per disjunct: 150 levels against parser.MAX_NESTING.
+    text = "exists x. " + " | ".join(f"x = y+{i} & x != {i}" for i in range(150))
+    code, out, _ = run(capsys, "decide", text, "--env", "y=3", "--json")
+    assert code == 0
+    qf = json.loads(out)["qf_equivalent"]
+    with pytest.raises(ParseError) as info:
+        parse(qf, ["y"])
+    assert "nesting deeper than" in str(info.value)
+    code, out, err = run(capsys, "decide", qf, "--env", "y=3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: nesting deeper than")
 
 
 # --- eliminate -------------------------------------------------------------------

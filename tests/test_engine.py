@@ -1,10 +1,12 @@
 """The elimination engine over the successor step: lifting, deciding, evidence."""
 
+from collections import Counter
 from random import Random
 
 import pytest
 
 import qelim.engine
+import qelim.successor
 from qelim import (
     And,
     ArityError,
@@ -297,6 +299,27 @@ def test_decide_and_every_provider_lift_each_binder_once(monkeypatch):
         assert len(calls) == quantifier_count(phi), repr(phi)
         binders += len(calls)
     assert binders > 300
+
+
+def test_decide_and_evidence_canonicalize_each_atom_once(monkeypatch):
+    counts: Counter[int] = Counter()
+    alive = []  # holding each atom keeps its id from being reused
+    real = qelim.successor._canonical_form
+
+    def counting(a):
+        alive.append(a)
+        counts[id(a)] += 1
+        return real(a)
+
+    monkeypatch.setattr(qelim.successor, "_canonical_form", counting)
+    rng = Random(49)
+    for _ in range(300):
+        arity = rng.randint(0, 2)
+        phi = random_formula(rng, arity, rng.randint(1, 5), 3)
+        env = random_env(rng, arity)
+        assert check_evidence(decide(STEP, phi, env), phi, env)
+    assert len(counts) > 300
+    assert max(counts.values()) == 1
 
 
 def test_decide_wide_left_chain_is_linear(monkeypatch):

@@ -18,15 +18,20 @@ from qelim import (
     Product,
     SNAtom,
     SNTerm,
+    STEP,
     Truth,
     UnsatisfiableProductError,
+    Yes,
     atom_eval,
     candidates,
     canonicalize,
+    check_evidence,
+    decide,
     eliminate_product,
     eval_qfree,
     interpret_product,
     is_qfree,
+    lift_qe,
     mk_not,
     mk_true,
     naive_decide,
@@ -86,6 +91,22 @@ def test_canonicalize_examples():
     )
 
 
+def _canonicalize_reference(a: SNAtom) -> SNAtom:
+    """canonicalize without the per-atom cache: a fresh atom on every call."""
+    lhs, rhs = a.lhs, a.rhs
+    drop = min(lhs.shift, rhs.shift)
+    lhs = SNTerm(lhs.index, lhs.shift - drop)
+    rhs = SNTerm(rhs.index, rhs.shift - drop)
+    flip = False
+    if rhs.is_var and lhs.is_zero:
+        flip = True
+    elif lhs.is_var and rhs.is_var and rhs.index < lhs.index:
+        flip = True
+    if flip:
+        lhs, rhs = rhs, lhs
+    return SNAtom(lhs, rhs)
+
+
 def test_canonicalize_idempotent_and_meaning_preserving():
     rng = Random(31)
     for _ in range(500):
@@ -99,9 +120,48 @@ def test_canonicalize_idempotent_and_meaning_preserving():
         a = SNAtom(sides[0], sides[1])
         c = canonicalize(a)
         assert canonicalize(c) == c
+        assert c == _canonicalize_reference(a)
+        # The cache is invisible: a and c still compare, hash and print like
+        # fresh atoms that were never canonicalized.
+        for cached, fresh in ((a, SNAtom(sides[0], sides[1])), (c, SNAtom(c.lhs, c.rhs))):
+            assert cached == fresh and fresh == cached
+            assert hash(cached) == hash(fresh)
+            assert repr(cached) == repr(fresh)
         for _ in range(4):
             env = random_env(rng, arity)
             assert atom_eval(c, env) == atom_eval(a, env)
+
+    # One atom object at several leaves, at two binder depths, decides like
+    # the same formula built from distinct copies (randgen never shares).
+    def build(a, b):
+        inner = Forall(Or(Atom(b(), 3), mk_not(Atom(a(), 3))))
+        body = Or(And(Atom(a(), 2), mk_not(Atom(b(), 2))), And(Atom(b(), 2), inner))
+        return Or(Exists(body), Exists(And(Atom(a(), 2), Atom(a(), 2))))
+
+    shared_a = SNAtom(var_term(1, 3), var_term(0, 1))
+    shared_b = SNAtom(zero_term(2), var_term(0))
+    shared = build(lambda: shared_a, lambda: shared_b)
+    copies = build(
+        lambda: SNAtom(var_term(1, 3), var_term(0, 1)),
+        lambda: SNAtom(zero_term(2), var_term(0)),
+    )
+    assert shared == copies
+    assert lift_qe(STEP, shared) == lift_qe(STEP, copies)
+    for y in range(6):
+        decision = decide(STEP, shared, (y,))
+        assert repr(decision) == repr(decide(STEP, copies, (y,)))
+        assert isinstance(decision, Yes) == oracle_decide(copies, (y,))
+        assert check_evidence(decision, shared, (y,))
+
+
+def test_canonical_form_is_computed_once_per_atom():
+    a = SNAtom(zero_term(4), var_term(1, 2))
+    c = canonicalize(a)
+    assert c == SNAtom(var_term(1), zero_term(2))
+    assert canonicalize(a) is c
+    assert canonicalize(c) is c
+    already = SNAtom(var_term(0, 2), var_term(1))
+    assert canonicalize(already) is already
 
 
 # --- literal truth ----------------------------------------------------------------
