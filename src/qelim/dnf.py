@@ -99,9 +99,13 @@ def interpret_product(p: Product) -> Formula:
 
 def interpret_dnf(d: Dnf) -> Formula:
     """Right-fold of Or; the empty DNF reads as Falsum."""
-    if not d.products:
-        return Falsum(d.arity)
-    parts = [interpret_product(p) for p in d.products]
+    return disjoin([interpret_product(p) for p in d.products], d.arity)
+
+
+def disjoin(parts: list[Formula], arity: int) -> Formula:
+    """Right-nested disjunction of parts; no parts gives Falsum at arity."""
+    if not parts:
+        return Falsum(arity)
     acc = parts[-1]
     for part in reversed(parts[:-1]):
         acc = Or(part, acc)

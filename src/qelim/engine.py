@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Protocol, Sequence
 
-from .dnf import Dnf, Literal, Product, Truth, to_dnf
+from .dnf import Dnf, Literal, Product, Truth, disjoin, to_dnf
 from .formula import (
     And,
     Atom,
@@ -89,17 +89,7 @@ def eliminate_dnf(step: ProdQEStep, d: Dnf) -> Formula:
     """Disjunction of per-product eliminations; empty DNF gives Falsum."""
     if d.arity < 1:
         raise ValueError("eliminate_dnf needs arity at least 1")
-    return _disjoin([step.eliminate_product(p) for p in d.products], d.arity - 1)
-
-
-def _disjoin(parts: list[Formula], arity: int) -> Formula:
-    """Right-nested disjunction of parts; no parts gives Falsum."""
-    if not parts:
-        return Falsum(arity)
-    acc = parts[-1]
-    for part in reversed(parts[:-1]):
-        acc = Or(part, acc)
-    return acc
+    return disjoin([step.eliminate_product(p) for p in d.products], d.arity - 1)
 
 
 @dataclass(eq=False, repr=False, slots=True)
@@ -152,7 +142,7 @@ def _lift(step: ProdQEStep, phi: Formula, max_products: int | None) -> Lifted | 
             max_products=max_products,
         ).products
         parts = [step.eliminate_product(p) for p in products]
-        qf = _disjoin(parts, phi.arity)
+        qf = disjoin(parts, phi.arity)
         if universal:
             qf = mk_not(qf)
         return Lifted(step, phi, qf, (body,), products, parts)

@@ -348,17 +348,9 @@ if TYPE_CHECKING:
     Sampler = Callable[[Formula, Environment], Iterable[int]]
 
 
-def _default_samples(body: Formula, env: Environment) -> Iterable[int]:
-    # Universal evidence can only be spot-checked.  Use the theory's candidate
-    # set when the atoms support it; plain {0, 1} otherwise.
-    values = {0, 1}
-    try:
-        from .successor import candidates
-
-        values |= set(candidates(body, env))
-    except Exception:
-        pass
-    return sorted(values)
+# check_evidence's sampler when given none: set by the successor module on
+# import, so each import of qelim samples with its own theory.
+_default_samples: Sampler | None = None
 
 
 def check_evidence(
@@ -371,8 +363,10 @@ def check_evidence(
 
     Leaves are re-evaluated, witnesses are checked by recursion under the
     extended environment, and provider-style evidence (universals, refuted
-    existentials) is spot-checked at a sample of values.  A shape mismatch
-    returns False rather than raising; only a bad environment length raises.
+    existentials) is spot-checked at a sample of values, by default {0, 1}
+    and the successor theory's ``candidates``: a theory with other atoms
+    passes ``samples``.  A shape mismatch returns False rather than raising;
+    a bad environment length or a failing sampler raises.
     """
     env = check_env(phi, env)
     sampler = samples if samples is not None else _default_samples

@@ -64,37 +64,31 @@ _KEYWORDS = {"forall": "FORALL", "exists": "EXISTS", "false": "FALSE", "true": "
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<nat>\d+)
-    | (?P<arrow>->)
-    | (?P<neq>!=)
-    | (?P<sym>[=|&~().+])
+      (?P<WS>\s+)
+    | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<NAT>\d+)
+    | (?P<ARROW>->)
+    | (?P<NEQ>!=)
+    | (?P<SYM>[=|&~().+])
+    | (?P<BAD>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "name":
-            tokens.append((_KEYWORDS.get(value, "NAME"), value, pos))
-        elif kind == "nat":
-            tokens.append(("NAT", value, pos))
-        elif kind == "arrow":
-            tokens.append(("ARROW", value, pos))
-        elif kind == "neq":
-            tokens.append(("NEQ", value, pos))
-        elif kind == "sym":
-            tokens.append((value, value, pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(), m.start()
+        if kind == "WS":
+            continue
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        if kind == "NAME":
+            kind = _KEYWORDS.get(value, kind)
+        elif kind == "SYM":
+            kind = value
+        tokens.append((kind, value, pos))
     tokens.append(("EOF", "", len(text)))
     return tokens
 

@@ -12,9 +12,11 @@ variable (index 0) is being removed:
 1. classify every literal; drop the trivially true ones, and give up with
    Falsum when one is trivially false;
 2. if a positive literal mentions index 0, canonicalize it into a pivot
-   ``S^a(Var 0) = S^b(t)`` and substitute its solution for index 0
-   everywhere (collecting ``t != 0, ..., t != d-1`` side conditions when the
-   solution is ``t - d``), then re-simplify and recurse;
+   ``S^a(Var 0) = S^b(t)``, where t is another variable or the constant
+   zero, and substitute its solution for index 0 everywhere (collecting
+   ``t != 0, ..., t != d-1`` side conditions when the solution is ``t - d``),
+   then re-simplify and recurse; a pivot ``S^a(Var 0) = S^b(0)`` with a > b
+   has no solution and gives Falsum at once;
 3. otherwise index 0 occurs only in negative literals, each of which
    excludes at most one value; since the naturals are infinite, drop them;
 4. finally every index is at least 1: decrement each by one and read the
@@ -27,8 +29,9 @@ canonical form: ``canonicalize`` fills the slot on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
+from . import formula
 from .dnf import Literal, Product, Truth, interpret_product, simplify_literals
 from .formula import (
     And,
@@ -172,31 +175,19 @@ def _mentions_var0(a: SNAtom) -> bool:
     return (a.lhs.is_var and a.lhs.index == 0) or (a.rhs.is_var and a.rhs.index == 0)
 
 
-def _simplify(lits: Iterable[Literal]) -> tuple[Literal, ...] | None:
-    return simplify_literals(tuple(lits), literal_truth, canonicalize)
-
-
-def _subst_const(lit: Literal, value: int) -> Literal:
-    """Replace ``S^k(Var 0)`` by the numeral ``S^(k+value)(0)``."""
-    def sub(t: SNTerm) -> SNTerm:
-        if t.is_var and t.index == 0:
-            return SNTerm(None, t.shift + value)
-        return t
-
-    return Literal(lit.positive, SNAtom(sub(lit.atom.lhs), sub(lit.atom.rhs)))
-
-
 def subst_pivot(p: Product, pivot: Literal) -> tuple[Product, tuple[Literal, ...]]:
     """Substitute the pivot's solution for index 0 through a product.
 
     The pivot must be a positive literal that canonicalizes to
-    ``S^a(Var 0) = S^b(t)`` with t distinct from index 0.  Solving gives
-    ``Var 0 = t + (b - a)``.  When b >= a every occurrence ``S^k(Var 0)``
-    becomes ``S^(k + b - a)(t)``.  When a > b the solution is ``t - d`` with
-    ``d = a - b``; occurrences become ``S^k(t)`` while the opposite side of
-    the same literal gains d (sound because x + k = s + m is equivalent to
-    t + k = s + m + d when x = t - d), and the side conditions
-    ``t != 0, ..., t != d - 1`` record that t must reach d.
+    ``S^a(Var 0) = S^b(t)`` with t distinct from index 0: another variable
+    or the constant zero, so one substitution serves both kinds of pivot.
+    Solving gives ``Var 0 = t + (b - a)``.  When b >= a every occurrence
+    ``S^k(Var 0)`` becomes ``S^(k + b - a)(t)``.  When a > b the solution is
+    ``t - d`` with ``d = a - b``; occurrences become ``S^k(t)`` while the
+    opposite side of the same literal gains d (sound because x + k = s + m
+    is equivalent to t + k = s + m + d when x = t - d), and the side
+    conditions ``t != 0, ..., t != d - 1`` record that t must reach d (for
+    t = 0 they include the false ``0 != 0``).
 
     The first literal of p matching the pivot is consumed; the rest are
     substituted and returned together with the side conditions.
@@ -264,7 +255,7 @@ def _strengthen(lit: Literal) -> Literal:
 
 def _prepare(p: Product) -> tuple[tuple[Literal, ...], Literal | None] | None:
     """Simplified literals plus the pivot choice; None when a literal is false."""
-    lits = _simplify(p.literals)
+    lits = simplify_literals(p.literals, literal_truth, canonicalize)
     if lits is None:
         return None
     pivot = None
@@ -286,15 +277,10 @@ def eliminate_product(p: Product) -> Formula:
     lits, pivot = prepared
     if pivot is not None:
         canon = canonicalize(pivot.atom)
-        rest = tuple(l for l in lits if l is not pivot)
-        if canon.rhs.is_zero:
-            a, b = canon.lhs.shift, canon.rhs.shift
-            if a > b:
-                return Falsum(n)
-            value = b - a
-            substituted = tuple(_subst_const(l, value) for l in rest)
-            return eliminate_product(Product(substituted, p.arity))
-        remaining, side = subst_pivot(Product(rest, p.arity), pivot)
+        # Unsolvable constant pivot: skip a substitution and a re-simplification.
+        if canon.rhs.is_zero and canon.lhs.shift > canon.rhs.shift:
+            return Falsum(n)
+        remaining, side = subst_pivot(Product(lits, p.arity), pivot)
         return eliminate_product(Product(remaining.literals + side, p.arity))
     kept = tuple(l for l in lits if not _mentions_var0(l.atom))
     lowered = Product(tuple(_strengthen(l) for l in kept), n)
@@ -320,22 +306,13 @@ def prod_witness(p: Product, env: Sequence[int]) -> int:
     lits, pivot = prepared
     if pivot is not None:
         canon = canonicalize(pivot.atom)
-        a, b = canon.lhs.shift, canon.rhs.shift
-        if canon.rhs.is_zero:
-            if a > b:
-                raise UnsatisfiableProductError(
-                    f"pivot {pivot!r} has no solution over the naturals"
-                )
-            return b - a
-        base = env[canon.rhs.index - 1]
-        if b >= a:
-            return base + (b - a)
-        d = a - b
-        if base < d:
+        t = canon.rhs
+        w = t.shift + (env[t.index - 1] if t.is_var else 0) - canon.lhs.shift
+        if w < 0:
             raise UnsatisfiableProductError(
-                f"pivot {pivot!r} needs index {canon.rhs.index} to be at least {d}"
+                f"pivot {pivot!r} has no natural solution under {env!r}"
             )
-        return base - d
+        return w
     excluded: set[int] = set()
     for lit in lits:
         if lit.positive or not _mentions_var0(lit.atom):
@@ -455,6 +432,14 @@ def candidates(body: Formula, env: Sequence[int]) -> set[int]:
         points = grown
     fresh = 1 + max(points | set(env) | shifts)
     return points | {fresh}
+
+
+def _default_samples(body: Formula, env: Environment) -> list[int]:
+    # Errors propagate: a fallback to {0, 1} would silently weaken the check.
+    return sorted({0, 1} | candidates(body, env))
+
+
+formula._default_samples = _default_samples
 
 
 def oracle_decide(phi: Formula, env: Sequence[int]) -> bool:

@@ -1,5 +1,7 @@
 """Formula AST: arity checking, evaluation, and evidence validation."""
 
+import importlib
+import sys
 from random import Random
 
 import pytest
@@ -25,15 +27,18 @@ from qelim import (
     Or,
     OrLeft,
     SNAtom,
+    STEP,
     UniversalEvidence,
     Witness,
     Yes,
     check_evidence,
+    decide,
     eval_qfree,
     extend,
     is_qfree,
     mk_not,
     mk_true,
+    parse,
     var_term,
     zero_term,
 )
@@ -259,6 +264,34 @@ def test_universal_provider_that_raises_fails_the_check():
 
     reflexive = Forall(Atom(SNAtom(var_term(0), var_term(0)), 1))
     assert check_evidence(Yes(UniversalEvidence(explode)), reflexive, ()) is False
+
+
+def test_failing_default_sampler_propagates(monkeypatch):
+    # A sampler that fails must not narrow the spot check to {0, 1} unnoticed.
+    import qelim.successor
+
+    phi = parse("forall x. x = y | x != y", ["y"])
+    decision = decide(STEP, phi, (3,))
+
+    def explode(body, env):
+        raise RuntimeError("no candidates")
+
+    monkeypatch.setattr(qelim.successor, "candidates", explode)
+    with pytest.raises(RuntimeError, match="no candidates"):
+        check_evidence(decision, phi, (3,))
+
+
+def test_default_sampler_survives_a_fresh_import(monkeypatch):
+    # Formulas built before qelim is imported afresh are still sampled with
+    # the candidate set: 5 is a candidate for forall x. x != 5, and the
+    # pretender's evidence is wrong there but right at 0 and 1.
+    never_five = Forall(mk_not(x_eq(5)))
+    pretender = Yes(UniversalEvidence(lambda v: NegAntecedent(AtomFails())))
+    assert check_evidence(pretender, never_five, (), samples=lambda b, e: [0, 1])
+    for name in [m for m in sys.modules if m == "qelim" or m.startswith("qelim.")]:
+        monkeypatch.delitem(sys.modules, name)
+    importlib.import_module("qelim")
+    assert check_evidence(pretender, never_five, ()) is False
 
 
 def test_exists_refutation_is_spot_checked():

@@ -92,6 +92,20 @@ def test_parse_error_carries_position():
         parse("exists x. x = " + "9" * 5000)
     with pytest.raises(ParseError):
         parse("x+" + "9" * 5000 + " = 0", ["x"])
+    # Characters outside the grammar: mid-text, after a newline, non-ASCII,
+    # and last.
+    for text, position, char in [
+        ("x = 0 # y", 6, "#"),
+        ("x = 0\n| x = $", 12, "$"),
+        ("x = 0 | é = 0", 8, "é"),
+        ("x = 0!", 5, "!"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse(text, ["x"])
+        assert info.value.position == position
+        assert str(info.value) == (
+            f"unexpected character {char!r} (at position {position})"
+        )
 
 
 def test_unbound_name_error():
