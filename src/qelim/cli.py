@@ -284,10 +284,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return root
 
 
+# Built once: argparse copies an ``append`` default, so no call leaks into the next.
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -8,12 +8,13 @@ the disjunction of per-product eliminations of the body's DNF; a universal
 is the negation of the eliminated negation, which is constructively fine
 because quantifier-free formulas are decidable.
 
-``lift`` keeps what it computed as a tree of ``Lifted`` nodes; ``decide``
-lifts once and decides each node once per environment from its children's
-decisions.  A binder's witness or counterexample comes from the first
-stored product whose elimination holds, through the theory's
-``prod_witness``.  Universal evidence and refuted existentials are deferred
-providers over the lifted body: they only re-evaluate the stored
+``lift`` returns a ``Lifted``: the quantifier-free equivalent plus one
+table from each binder to the products it eliminated and their
+eliminations.  ``decide`` lifts once, then walks the formula itself and
+decides each binder from its table entry: the witness or counterexample
+comes from the first stored product whose elimination holds, through the
+theory's ``prod_witness``.  Universal evidence and refuted existentials are
+deferred providers over the binder's body: they only re-evaluate the stored
 eliminations, and never lift or build a DNF again.
 """
 
@@ -96,68 +97,63 @@ def eliminate_dnf(step: ProdQEStep, d: Dnf) -> Formula:
 class Lifted:
     """A formula lifted once, with what deciding it under any environment needs.
 
-    ``qf`` is the quantifier-free equivalent of ``phi``; ``subs`` the lifted
-    sides or body, where a quantifier-free subformula stands for itself.  A
-    binder keeps the ``products`` of the DNF it eliminated (of the body for
-    ``Exists``, of its negation for ``Forall``) and their eliminations
-    ``parts``, position by position.
+    ``qf`` is the quantifier-free equivalent of ``phi``.  ``binders`` maps the
+    ``id`` of each binder in ``phi`` to the ``products`` of the DNF it
+    eliminated (the body's for ``Exists``, its negation's for ``Forall``)
+    and their eliminations ``parts``.  Identity, not equality: hashing a
+    formula walks all of it, and a binder's eliminations depend only on it.
     """
 
     step: ProdQEStep
     phi: Formula
     qf: Formula
-    subs: tuple[Lifted | Formula, ...] = ()
-    products: tuple[Product, ...] = ()
-    parts: Sequence[Formula] = ()
+    binders: dict[int, tuple[tuple[Product, ...], Sequence[Formula]]]
 
     def decide(self, env: Sequence = ()) -> Decision:
         """Decide phi under env, with evidence or a refutation to show for it."""
-        truth, term = _decide(self, check_env(self.phi, env))
+        truth, term = _decide(self, self.phi, check_env(self.phi, env))
         return Yes(term) if truth else No(term)
 
 
 def lift(step: ProdQEStep, phi: Formula, *, max_products: int | None = None) -> Lifted:
-    """Lift phi in one inside-out pass, keeping every node's QF equivalent."""
-    node = _lift(step, phi, max_products)
-    return node if isinstance(node, Lifted) else Lifted(step, phi, phi)
+    """Lift phi in one inside-out pass, keeping every binder's eliminations."""
+    binders: dict = {}
+    return Lifted(step, phi, _lift(step, phi, max_products, binders), binders)
 
 
-def _lift(step: ProdQEStep, phi: Formula, max_products: int | None) -> Lifted | Formula:
-    """phi itself when it is quantifier-free, its Lifted node otherwise."""
+def _lift(
+    step: ProdQEStep, phi: Formula, max_products: int | None, binders: dict
+) -> Formula:
+    """The QF equivalent of phi (phi itself when quantifier-free); fills binders."""
     if isinstance(phi, (Atom, Falsum)):
         return phi
     if isinstance(phi, (Or, And, Implies)):
-        lhs = _lift(step, phi.lhs, max_products)
-        rhs = _lift(step, phi.rhs, max_products)
+        lhs = _lift(step, phi.lhs, max_products, binders)
+        rhs = _lift(step, phi.rhs, max_products, binders)
         if lhs is phi.lhs and rhs is phi.rhs:
             return phi
-        return Lifted(step, phi, type(phi)(_qf(lhs), _qf(rhs)), (lhs, rhs))
+        return type(phi)(lhs, rhs)
     if isinstance(phi, (Exists, Forall)):
-        body = _lift(step, phi.body, max_products)
+        body = _lift(step, phi.body, max_products, binders)
         universal = isinstance(phi, Forall)
         products = to_dnf(
-            mk_not(_qf(body)) if universal else _qf(body),
+            mk_not(body) if universal else body,
             literal_truth=step.literal_truth,
             canonical_atom=getattr(step, "canonical_atom", None),
             max_products=max_products,
         ).products
         parts = [step.eliminate_product(p) for p in products]
+        binders[id(phi)] = (products, parts)
         qf = disjoin(parts, phi.arity)
-        if universal:
-            qf = mk_not(qf)
-        return Lifted(step, phi, qf, (body,), products, parts)
+        return mk_not(qf) if universal else qf
     raise TypeError(f"not a Formula: {phi!r}")
-
-
-def _qf(node: Lifted | Formula) -> Formula:
-    return node.qf if isinstance(node, Lifted) else node
 
 
 def lift_qe(
     step: ProdQEStep, phi: Formula, *, max_products: int | None = None
 ) -> Formula:
     """Quantifier-free equivalent of phi at the same arity."""
-    return _qf(_lift(step, phi, max_products))
+    return _lift(step, phi, max_products, {})
 
 
 def decide(
@@ -178,55 +174,58 @@ _FALSUM = (False, FalsumRefuted())
 
 
 def _decide(
-    node: Lifted | Formula, env: Environment
+    lifted: Lifted, phi: Formula, env: Environment
 ) -> tuple[bool, Evidence | Refutation]:
     """Truth under env, with evidence if true, a refutation if not.
 
-    Left sides first, right sides only when the term needs them.
+    phi is lifted.phi or a subformula of it.  Left sides first, right sides
+    only when the term needs them.
     """
-    phi, subs = (node.phi, node.subs) if isinstance(node, Lifted) else (node, ())
     if isinstance(phi, Atom):
         return _HOLDS if phi.atom.holds(env) else _FAILS
     if isinstance(phi, Falsum):
         return _FALSUM
     if isinstance(phi, (Exists, Forall)):
-        return _decide_binder(node, env)
-    lhs_node, rhs_node = subs or (phi.lhs, phi.rhs)
-    lhs_true, lhs = _decide(lhs_node, env)
+        return _decide_binder(lifted, phi, env)
+    lhs_true, lhs = _decide(lifted, phi.lhs, env)
     if isinstance(phi, Or):
         if lhs_true:
             return True, OrLeft(lhs)
-        rhs_true, rhs = _decide(rhs_node, env)
+        rhs_true, rhs = _decide(lifted, phi.rhs, env)
         return (True, OrRight(rhs)) if rhs_true else (False, NeitherHolds(lhs, rhs))
     if isinstance(phi, And):
         if not lhs_true:
             return False, LeftFails(lhs)
-        rhs_true, rhs = _decide(rhs_node, env)
+        rhs_true, rhs = _decide(lifted, phi.rhs, env)
         return (True, Both(lhs, rhs)) if rhs_true else (False, RightFails(rhs))
     if not lhs_true:
         return True, NegAntecedent(lhs)
-    rhs_true, rhs = _decide(rhs_node, env)
+    rhs_true, rhs = _decide(lifted, phi.rhs, env)
     return (True, Consequent(rhs)) if rhs_true else (False, Unimplied(lhs, rhs))
 
 
-def _decide_binder(node: Lifted, env: Environment) -> tuple[bool, Evidence | Refutation]:
+def _decide_binder(
+    lifted: Lifted, phi: Exists | Forall, env: Environment
+) -> tuple[bool, Evidence | Refutation]:
     """The first eliminated product that holds gives a witness or counterexample."""
-    (body,) = node.subs
-    universal = isinstance(node.phi, Forall)
-    for product, part in zip(node.products, node.parts):
+    products, parts = lifted.binders[id(phi)]
+    body, universal = phi.body, isinstance(phi, Forall)
+    for product, part in zip(products, parts):
         if eval_qfree(part, env):
-            value = node.step.prod_witness(product, env)
+            value = lifted.step.prod_witness(product, env)
+            term = _body_term(lifted, body, env, value, not universal)
             if universal:
-                return False, Counterexample(value, _body_term(body, env, value, False))
-            return True, Witness(value, _body_term(body, env, value, True))
+                return False, Counterexample(value, term)
+            return True, Witness(value, term)
+    provider = partial(_body_term, lifted, body, env, holds=universal)
     if universal:
-        return True, UniversalEvidence(partial(_body_term, body, env, holds=True))
-    return False, ExistsRefuted(partial(_body_term, body, env, holds=False))
+        return True, UniversalEvidence(provider)
+    return False, ExistsRefuted(provider)
 
 
-def _body_term(body: Lifted | Formula, env: Environment, value: int, holds: bool):
+def _body_term(lifted: Lifted, body: Formula, env: Environment, value: int, holds: bool):
     """The body's evidence (holds) or refutation (not) at value, as lifted."""
-    truth, term = _decide(body, extend(env, value))
+    truth, term = _decide(lifted, body, extend(env, value))
     if truth != holds:
         raise EngineError(f"the body decides against its lift at {value}")
     return term

@@ -21,7 +21,7 @@ provider function for a universal, and mirrored forms on the refuting side
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, Sequence
 
 Environment = tuple
 
@@ -148,21 +148,24 @@ def check_env(phi: Formula, env: Sequence[Any]) -> Environment:
     return env
 
 
+def subformulas(phi: Formula) -> Iterator[tuple[Formula, int]]:
+    """Every node of phi with its binder depth, pre-order, left side first."""
+    todo = [(phi, 0)]
+    while todo:
+        f, depth = todo.pop()
+        if isinstance(f, _Connective):
+            todo.append((f.rhs, depth))
+            todo.append((f.lhs, depth))
+        elif isinstance(f, _Binder):
+            todo.append((f.body, depth + 1))
+        elif not isinstance(f, (Atom, Falsum)):
+            raise TypeError(f"not a Formula: {f!r}")
+        yield f, depth
+
+
 def is_qfree(phi: Formula) -> bool:
     """True when the formula contains no quantifier anywhere."""
-    todo = [phi]
-    while todo:
-        f = todo.pop()
-        if isinstance(f, (Atom, Falsum)):
-            continue
-        if isinstance(f, (Or, And, Implies)):
-            todo.append(f.lhs)
-            todo.append(f.rhs)
-        elif isinstance(f, (Exists, Forall)):
-            return False
-        else:
-            raise TypeError(f"not a Formula: {f!r}")
-    return True
+    return not any(isinstance(f, _Binder) for f, _ in subformulas(phi))
 
 
 def eval_qfree(phi: Formula, env: Sequence[Any]) -> bool:

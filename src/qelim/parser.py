@@ -19,10 +19,12 @@ are supplied in order: with binders counted innermost first, the name at
 position i of ``free_vars`` maps to de Bruijn index (binder depth + i).
 Shadowing is allowed; the innermost binder wins.
 
-``pretty`` is the inverse: bound variables are named x0, x1, ... skipping
-any free names, operands of binary connectives are always parenthesized,
-``Implies(p, Falsum)`` prints as ``~p`` (or with ``!=`` when p is an
-atom), and ``Implies(Falsum, Falsum)`` prints as ``true``.
+``pretty`` is the inverse, in one pass linear in its output: bound
+variables are named x0, x1, ... in pre-order, skipping any free names,
+operands of binary connectives are always parenthesized, ``Implies(p,
+Falsum)`` prints as ``~p`` (or with ``!=`` when p is an atom; p is
+parenthesized when a binder or a binary connective other than a
+negation), and ``Implies(Falsum, Falsum)`` prints as ``true``.
 ``parse(pretty(phi, ns), ns)`` reproduces phi exactly when the printed
 text nests at most ``MAX_NESTING`` deep; every binary connective adds a
 level of parentheses, so a longer chain raises ParseError.
@@ -270,11 +272,7 @@ def parse(text: str, free_vars: Sequence[str] = ()) -> Formula:
     return SurfaceParser(text, free_vars).parse()
 
 
-_LEVEL_IMPLIES = 1
-_LEVEL_OR = 2
-_LEVEL_AND = 3
-_LEVEL_UNARY = 4
-_LEVEL_ATOM = 5
+_JOINS = {Implies: ") -> (", Or: ") | (", And: ") & ("}
 
 
 def pretty(phi: Formula, free_names: Sequence[str] = ()) -> str:
@@ -285,14 +283,7 @@ def pretty(phi: Formula, free_names: Sequence[str] = ()) -> str:
             f"{len(free_names)} names supplied for a formula of arity {phi.arity}"
         )
     taken = set(free_names)
-    counter = [0]
-
-    def fresh_name() -> str:
-        while True:
-            name = f"x{counter[0]}"
-            counter[0] += 1
-            if name not in taken:
-                return name
+    counter = 0
 
     def term(t: SNTerm, names: tuple[str, ...]) -> str:
         if t.is_zero:
@@ -300,64 +291,47 @@ def pretty(phi: Formula, free_names: Sequence[str] = ()) -> str:
         base = names[t.index]
         return f"{base}+{t.shift}" if t.shift else base
 
-    # Iterative post-order walk: eliminated formulas can chain one connective
-    # per DNF product, far past the recursion limit.  Quantifier names are
-    # assigned at first visit, which is pre-order, left subtree first.
-    todo: list[tuple] = [("visit", phi, free_names)]
-    results: list[tuple[str, int]] = []
+    # Iterative pre-order, left subtree first, naming binders as met: DNFs
+    # chain one connective per product, far past the recursion limit.  The
+    # stack holds nodes to print and the text to emit after them.
+    out: list[str] = []
+    todo: list = [(phi, free_names)]
     while todo:
-        entry = todo.pop()
-        kind = entry[0]
-        if kind == "visit":
-            _, f, names = entry
-            if isinstance(f, Falsum):
-                results.append(("false", _LEVEL_ATOM))
-            elif isinstance(f, Atom):
-                a = f.atom
-                results.append(
-                    (f"{term(a.lhs, names)} = {term(a.rhs, names)}", _LEVEL_ATOM)
-                )
-            elif isinstance(f, Implies) and isinstance(f.rhs, Falsum):
-                if isinstance(f.lhs, Falsum):
-                    results.append(("true", _LEVEL_ATOM))
-                elif isinstance(f.lhs, Atom):
-                    a = f.lhs.atom
-                    results.append(
-                        (f"{term(a.lhs, names)} != {term(a.rhs, names)}", _LEVEL_ATOM)
-                    )
-                else:
-                    todo.append(("negate",))
-                    todo.append(("visit", f.lhs, names))
-            elif isinstance(f, (Implies, Or, And)):
-                if isinstance(f, Implies):
-                    op, level = "->", _LEVEL_IMPLIES
-                elif isinstance(f, Or):
-                    op, level = "|", _LEVEL_OR
-                else:
-                    op, level = "&", _LEVEL_AND
-                todo.append(("join", op, level))
-                todo.append(("visit", f.rhs, names))
-                todo.append(("visit", f.lhs, names))
-            elif isinstance(f, (Exists, Forall)):
-                word = "exists" if isinstance(f, Exists) else "forall"
-                name = fresh_name()
-                todo.append(("close", word, name))
-                todo.append(("visit", f.body, (name,) + names))
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        f, names = item
+        if isinstance(f, Falsum):
+            out.append("false")
+        elif isinstance(f, Atom):
+            out.append(f"{term(f.atom.lhs, names)} = {term(f.atom.rhs, names)}")
+        elif isinstance(f, Implies) and isinstance(f.rhs, Falsum):
+            p = f.lhs
+            if isinstance(p, Falsum):
+                out.append("true")
+            elif isinstance(p, Atom):
+                out.append(f"{term(p.atom.lhs, names)} != {term(p.atom.rhs, names)}")
             else:
-                raise TypeError(f"not a Formula: {f!r}")
-        elif kind == "negate":
-            inner, level = results.pop()
-            if level < _LEVEL_UNARY:
-                inner = f"({inner})"
-            results.append(("~" + inner, _LEVEL_UNARY))
-        elif kind == "join":
+                nested = isinstance(p, Implies) and isinstance(p.rhs, Falsum)
+                out.append("~" if nested else "~(")
+                if not nested:
+                    todo.append(")")
+                todo.append((p, names))
+        elif isinstance(f, (Implies, Or, And)):
             # Binary-connective operands are always parenthesized.
-            _, op, level = entry
-            rhs_text, _ = results.pop()
-            lhs_text, _ = results.pop()
-            results.append((f"({lhs_text}) {op} ({rhs_text})", level))
+            out.append("(")
+            todo.append(")")
+            todo.append((f.rhs, names))
+            todo.append(_JOINS[type(f)])
+            todo.append((f.lhs, names))
+        elif isinstance(f, (Exists, Forall)):
+            while f"x{counter}" in taken:
+                counter += 1
+            name = f"x{counter}"
+            counter += 1
+            out.append(f"{'exists' if isinstance(f, Exists) else 'forall'} {name}. ")
+            todo.append((f.body, (name,) + names))
         else:
-            _, word, name = entry
-            body, _ = results.pop()
-            results.append((f"{word} {name}. {body}", 0))
-    return results[0][0]
+            raise TypeError(f"not a Formula: {f!r}")
+    return "".join(out)

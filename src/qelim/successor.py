@@ -29,7 +29,7 @@ canonical form: ``canonicalize`` fills the slot on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import formula
 from .dnf import Literal, Product, Truth, interpret_product, simplify_literals
@@ -46,6 +46,7 @@ from .formula import (
     Or,
     check_env,
     extend,
+    subformulas,
 )
 
 
@@ -107,10 +108,6 @@ class SNAtom:
             if side.is_var and side.index >= arity:
                 return False
         return True
-
-
-def atom(lhs: SNTerm, rhs: SNTerm) -> SNAtom:
-    return SNAtom(lhs, rhs)
 
 
 def _term_value(t: SNTerm, env: Sequence[int]) -> int:
@@ -335,37 +332,17 @@ def prod_witness(p: Product, env: Sequence[int]) -> int:
 # --- oracles -----------------------------------------------------------------
 
 
-def _atoms_with_depth(phi: Formula, depth: int = 0) -> Iterator[tuple[SNAtom, int]]:
-    if isinstance(phi, Atom):
-        yield phi.atom, depth
-    elif isinstance(phi, Falsum):
-        return
-    elif isinstance(phi, (Or, And, Implies)):
-        yield from _atoms_with_depth(phi.lhs, depth)
-        yield from _atoms_with_depth(phi.rhs, depth)
-    elif isinstance(phi, (Exists, Forall)):
-        yield from _atoms_with_depth(phi.body, depth + 1)
-    else:
-        raise TypeError(f"not a Formula: {phi!r}")
-
-
 def quantifier_count(phi: Formula) -> int:
-    if isinstance(phi, (Atom, Falsum)):
-        return 0
-    if isinstance(phi, (Or, And, Implies)):
-        return quantifier_count(phi.lhs) + quantifier_count(phi.rhs)
-    return 1 + quantifier_count(phi.body)
+    return sum(isinstance(f, (Exists, Forall)) for f, _ in subformulas(phi))
 
 
 def atom_count(phi: Formula) -> int:
-    return sum(1 for _ in _atoms_with_depth(phi))
+    return sum(isinstance(f, Atom) for f, _ in subformulas(phi))
 
 
 def max_shift(phi: Formula) -> int:
-    best = 0
-    for a, _ in _atoms_with_depth(phi):
-        best = max(best, a.lhs.shift, a.rhs.shift)
-    return best
+    atoms = [f.atom for f, _ in subformulas(phi) if isinstance(f, Atom)]
+    return max((max(a.lhs.shift, a.rhs.shift) for a in atoms), default=0)
 
 
 def candidates(body: Formula, env: Sequence[int]) -> set[int]:
@@ -388,7 +365,12 @@ def candidates(body: Formula, env: Sequence[int]) -> set[int]:
     points: set[int] = set()
     offsets: set[int] = set()
     shifts = {0}
-    for a, depth in _atoms_with_depth(body):
+    rounds = 0
+    for f, depth in subformulas(body):
+        if not isinstance(f, Atom):
+            rounds += isinstance(f, (Exists, Forall))
+            continue
+        a = f.atom
         shifts.add(a.lhs.shift)
         shifts.add(a.rhs.shift)
         sides = []
@@ -419,7 +401,6 @@ def candidates(body: Formula, env: Sequence[int]) -> set[int]:
         gap = abs(lv - rv)
         offsets.add(gap)
         points.update(range(gap + 1))
-    rounds = quantifier_count(body)
     for _ in range(rounds):
         grown = set(points)
         for point in points:

@@ -31,6 +31,10 @@ def test_decide_json_payload(capsys):
         "result": "yes",
         "witnesses": [2, 4],
     }
+    # A witness reached through the consequent of an implication.
+    code, out, _ = run(capsys, "decide", "0 = 0 -> exists x. x = 2", "--json")
+    assert code == 0
+    assert json.loads(out)["witnesses"] == [2]
 
 
 def test_decide_text_and_evidence(capsys):
@@ -52,6 +56,16 @@ def test_decide_universal_with_instantiations(capsys):
         "at 0: holds",
         "at 5: holds (witnesses: 4)",
     ]
+
+
+def test_repeated_flags_do_not_carry_into_the_next_call(capsys):
+    # main reuses one argparse parser; its ``append`` defaults must stay empty.
+    code, out, _ = run(capsys, "decide", SAMPLE1, "--evidence", "--instantiate", "3")
+    assert (code, out.splitlines()[-1]) == (0, "at 3: holds (witnesses: 2)")
+    code, out, _ = run(capsys, "decide", SAMPLE1, "--evidence")
+    assert (code, out) == (0, "yes\nuniversal evidence: instantiable at any value\n")
+    assert run(capsys, "decide", "x = 0", "--env", "x=0")[:2] == (0, "yes\n")
+    assert run(capsys, "decide", "0 = 0")[:2] == (0, "yes\n")
 
 
 def test_decide_failed_universal(capsys):
@@ -188,6 +202,8 @@ def test_split_needs_exactly_one_free_name(capsys):
         ("decide", "exists x. x = 0", "--dnf-limit", "0"),
         ("decide", "exists x. x = 0", "--dnf-limit", "-1"),
         ("decide", "exists x. x = " + "9" * 5000),
+        ("decide", "x = 0", "--env", "1x=0"),
+        ("decide", "x = 0", "--env", "forall=0"),
     ],
 )
 def test_usage_and_parse_errors_exit_2(capsys, argv):

@@ -49,6 +49,7 @@ from qelim import (
     instantiate_universal,
     is_qfree,
     lem,
+    lift,
     lift_qe,
     mk_not,
     mk_true,
@@ -338,3 +339,27 @@ def test_decide_wide_left_chain_is_linear(monkeypatch):
     monkeypatch.setattr(SNAtom, "holds", counting)
     assert isinstance(decide(STEP, Exists(body)), Yes)
     assert count[0] <= 4 * n
+
+
+def test_one_binder_object_at_two_positions():
+    # The lift keeps one table entry per binder object, keyed on identity.
+    def atom(lhs, rhs):
+        return Atom(SNAtom(lhs, rhs), 2)
+
+    x, y = var_term(0), var_term(1)
+    above = Exists(atom(x, var_term(1, 2)))  # exists x. x = y+2
+    never = Exists(And(atom(x, y), atom(var_term(0, 1), y)))  # x = y and x+1 = y
+    formulas = [
+        And(above, Or(never, above)),
+        Or(never, Implies(above, never)),
+        Implies(Or(never, never), above),
+    ]
+    for inner in list(formulas):
+        formulas.append(Forall(Implies(Atom(SNAtom(var_term(0), zero_term(1)), 1), inner)))
+    for phi in formulas:
+        assert len(lift(STEP, phi).binders) == 2 + isinstance(phi, Forall)
+        for y_value in range(4):
+            env = (y_value,) * phi.arity
+            decision = decide(STEP, phi, env)
+            assert isinstance(decision, Yes) == oracle_decide(phi, env), repr(phi)
+            assert check_evidence(decision, phi, env), repr(phi)

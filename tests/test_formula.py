@@ -42,6 +42,7 @@ from qelim import (
     var_term,
     zero_term,
 )
+from qelim.formula import subformulas
 from randgen import random_env, random_formula, random_qfree
 from samples import sample0, sample2_body
 
@@ -138,6 +139,17 @@ def test_is_qfree_commutes_with_mk_not():
         assert is_qfree(mk_not(phi)) == is_qfree(phi)
 
 
+def test_subformulas_pre_order_with_binder_depth():
+    a, b = x_eq(0), x_eq(1)
+    inner = Exists(x_eq(2, 2))
+    phi = Or(And(a, b), inner)
+    assert list(subformulas(phi)) == [
+        (phi, 0), (phi.lhs, 0), (a, 0), (b, 0), (inner, 0), (inner.body, 1)
+    ]
+    with pytest.raises(TypeError):
+        list(subformulas("x = 0"))
+
+
 # --- eval_qfree ---------------------------------------------------------------
 
 
@@ -211,6 +223,10 @@ def test_check_evidence_shape_mismatch_is_false_not_an_error():
     assert check_evidence(Yes(Witness(0, AtomHolds())), t, ()) is False
     assert check_evidence(Yes(OrLeft(AtomHolds())), And(t, t), ()) is False
     assert check_evidence(No(AtomFails()), Falsum(0), ()) is False
+    assert check_evidence(Yes(OrLeft(AtomHolds())), Implies(t, t), ()) is False
+    t1 = Atom(SNAtom(var_term(0), var_term(0)), 1)
+    assert check_evidence(Yes(Witness(0, AtomHolds())), Forall(t1), ()) is False
+    assert check_evidence(No(AtomFails()), Exists(t1), ()) is False
 
 
 def test_check_evidence_rechecks_leaves():
@@ -264,6 +280,8 @@ def test_universal_provider_that_raises_fails_the_check():
 
     reflexive = Forall(Atom(SNAtom(var_term(0), var_term(0)), 1))
     assert check_evidence(Yes(UniversalEvidence(explode)), reflexive, ()) is False
+    never = Exists(Atom(SNAtom(var_term(0), var_term(0, 1)), 1))
+    assert check_evidence(No(ExistsRefuted(explode)), never, ()) is False
 
 
 def test_failing_default_sampler_propagates(monkeypatch):

@@ -106,6 +106,15 @@ def test_parse_error_carries_position():
         assert str(info.value) == (
             f"unexpected character {char!r} (at position {position})"
         )
+    # Input left over after a formula, and a term with no relation after it.
+    for text, position, message in [
+        ("x = 0 )", 6, "trailing input ')'"),
+        ("x & x = 0", 2, "expected '=' or '!=', found '&'"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse(text, ["x"])
+        assert info.value.position == position
+        assert str(info.value) == f"{message} (at position {position})"
 
 
 def test_unbound_name_error():
@@ -124,6 +133,21 @@ def test_pretty_pinned_renderings():
         pretty(Forall(Or(Atom(SNAtom(var_term(0), zero_term(0)), 1), Falsum(1))))
         == "forall x0. (x0 = 0) | (false)"
     )
+    # ``~`` parenthesizes a binder or a binary connective, never a negation.
+    a = Atom(SNAtom(var_term(0), zero_term(0)), 1)
+    b = Atom(SNAtom(var_term(0), zero_term(1)), 1)
+    y_is_x = Atom(SNAtom(var_term(0), var_term(1)), 2)
+    for phi, text in [
+        (mk_not(mk_not(a)), "~x != 0"),
+        (mk_not(mk_true(1)), "~true"),
+        (mk_not(Or(a, b)), "~((x = 0) | (x = 1))"),
+        (mk_not(Implies(a, b)), "~((x = 0) -> (x = 1))"),
+        (mk_not(mk_not(And(a, b))), "~~((x = 0) & (x = 1))"),
+        (mk_not(Exists(y_is_x)), "~(exists x0. x0 = x)"),
+        (mk_not(Forall(mk_not(y_is_x))), "~(forall x0. x0 != x)"),
+    ]:
+        assert pretty(phi, ["x"]) == text
+        assert parse(text, ["x"]) == phi
 
 
 def test_pretty_skips_taken_names():

@@ -438,3 +438,17 @@ def test_size_helpers():
     assert quantifier_count(phi) == 2
     assert atom_count(phi) == 2
     assert max_shift(phi) == 8
+
+
+def test_size_helpers_and_candidates_walk_wide_chains():
+    # exists x. x = 0 | ... | x = n-1, left-nested, far past the recursion limit.
+    n = 5000
+    body = Atom(SNAtom(var_term(0), zero_term(0)), 1)
+    for k in range(1, n):
+        body = Or(body, Atom(SNAtom(var_term(0), zero_term(k)), 1))
+    phi = Exists(body)
+    assert quantifier_count(phi) == 1
+    assert atom_count(phi) == n
+    assert max_shift(phi) == n - 1
+    assert is_qfree(body) and not is_qfree(phi)
+    assert candidates(body, ()) == set(range(n + 1))
