@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import traceback
 from typing import Sequence
@@ -48,11 +47,10 @@ from .formula import (
     Witness,
     Yes,
 )
-from .parser import ParseError, SurfaceParser, UnboundNameError, pretty
+from .parser import (
+    _KEYWORDS, _TOKEN_RE, ParseError, SurfaceParser, UnboundNameError, pretty
+)
 from .successor import STEP, UnsatisfiableProductError, oracle_decide
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_KEYWORDS = {"forall", "exists", "false", "true"}
 
 DEFAULT_DNF_LIMIT = 10000
 
@@ -68,7 +66,8 @@ def _parse_env(pairs: Sequence[str]) -> tuple[list[str], tuple[int, ...]]:
         name, sep, raw = pair.partition("=")
         if not sep:
             raise UsageError(f"--env expects name=value, got {pair!r}")
-        if not _NAME_RE.match(name) or name in _KEYWORDS:
+        token = _TOKEN_RE.fullmatch(name)
+        if not token or token.lastgroup != "NAME" or name in _KEYWORDS:
             raise UsageError(f"--env name {name!r} is not a usable variable name")
         if name in names:
             raise UsageError(f"--env name {name!r} given twice")

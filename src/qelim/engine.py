@@ -9,13 +9,15 @@ is the negation of the eliminated negation, which is constructively fine
 because quantifier-free formulas are decidable.
 
 ``lift`` returns a ``Lifted``: the quantifier-free equivalent plus one
-table from each binder to the products it eliminated and their
-eliminations.  ``decide`` lifts once, then walks the formula itself and
-decides each binder from its table entry: the witness or counterexample
-comes from the first stored product whose elimination holds, through the
-theory's ``prod_witness``.  Universal evidence and refuted existentials are
-deferred providers over the binder's body: they only re-evaluate the stored
-eliminations, and never lift or build a DNF again.
+table from each binder object, lifted once wherever it occurs, to the
+products it eliminated and their eliminations.  ``lem`` lifts once and
+walks the formula itself to one term whose type is its truth: an
+``Evidence`` if phi holds, a ``Refutation`` if not; ``decide`` wraps that
+term in ``Yes`` or ``No``.  Each binder is decided from its table entry:
+the first stored product whose elimination holds gives the witness or
+counterexample, through the theory's ``prod_witness``.  Universal evidence
+and refuted existentials are deferred providers over the binder's body:
+they only re-evaluate the stored eliminations, and never lift again.
 """
 
 from __future__ import annotations
@@ -111,8 +113,8 @@ class Lifted:
 
     def decide(self, env: Sequence = ()) -> Decision:
         """Decide phi under env, with evidence or a refutation to show for it."""
-        truth, term = _decide(self, self.phi, check_env(self.phi, env))
-        return Yes(term) if truth else No(term)
+        term = _decide(self, self.phi, check_env(self.phi, env))
+        return Yes(term) if isinstance(term, Evidence) else No(term)
 
 
 def lift(step: ProdQEStep, phi: Formula, *, max_products: int | None = None) -> Lifted:
@@ -134,17 +136,17 @@ def _lift(
             return phi
         return type(phi)(lhs, rhs)
     if isinstance(phi, (Exists, Forall)):
-        body = _lift(step, phi.body, max_products, binders)
         universal = isinstance(phi, Forall)
-        products = to_dnf(
-            mk_not(body) if universal else body,
-            literal_truth=step.literal_truth,
-            canonical_atom=getattr(step, "canonical_atom", None),
-            max_products=max_products,
-        ).products
-        parts = [step.eliminate_product(p) for p in products]
-        binders[id(phi)] = (products, parts)
-        qf = disjoin(parts, phi.arity)
+        if id(phi) not in binders:  # a binder object at several positions lifts once
+            body = _lift(step, phi.body, max_products, binders)
+            products = to_dnf(
+                mk_not(body) if universal else body,
+                literal_truth=step.literal_truth,
+                canonical_atom=getattr(step, "canonical_atom", None),
+                max_products=max_products,
+            ).products
+            binders[id(phi)] = (products, [step.eliminate_product(p) for p in products])
+        qf = disjoin(binders[id(phi)][1], phi.arity)
         return mk_not(qf) if universal else qf
     raise TypeError(f"not a Formula: {phi!r}")
 
@@ -153,7 +155,7 @@ def lift_qe(
     step: ProdQEStep, phi: Formula, *, max_products: int | None = None
 ) -> Formula:
     """Quantifier-free equivalent of phi at the same arity."""
-    return _lift(step, phi, max_products, {})
+    return lift(step, phi, max_products=max_products).qf
 
 
 def decide(
@@ -168,15 +170,13 @@ def decide(
 
 
 # Leaf terms carry no data, so every leaf decision can share one.
-_HOLDS = (True, AtomHolds())
-_FAILS = (False, AtomFails())
-_FALSUM = (False, FalsumRefuted())
+_HOLDS = AtomHolds()
+_FAILS = AtomFails()
+_FALSUM = FalsumRefuted()
 
 
-def _decide(
-    lifted: Lifted, phi: Formula, env: Environment
-) -> tuple[bool, Evidence | Refutation]:
-    """Truth under env, with evidence if true, a refutation if not.
+def _decide(lifted: Lifted, phi: Formula, env: Environment) -> Evidence | Refutation:
+    """Evidence for phi under env if it holds, a refutation if not.
 
     phi is lifted.phi or a subformula of it.  Left sides first, right sides
     only when the term needs them.
@@ -187,26 +187,26 @@ def _decide(
         return _FALSUM
     if isinstance(phi, (Exists, Forall)):
         return _decide_binder(lifted, phi, env)
-    lhs_true, lhs = _decide(lifted, phi.lhs, env)
+    lhs = _decide(lifted, phi.lhs, env)
     if isinstance(phi, Or):
-        if lhs_true:
-            return True, OrLeft(lhs)
-        rhs_true, rhs = _decide(lifted, phi.rhs, env)
-        return (True, OrRight(rhs)) if rhs_true else (False, NeitherHolds(lhs, rhs))
+        if isinstance(lhs, Evidence):
+            return OrLeft(lhs)
+        rhs = _decide(lifted, phi.rhs, env)
+        return OrRight(rhs) if isinstance(rhs, Evidence) else NeitherHolds(lhs, rhs)
     if isinstance(phi, And):
-        if not lhs_true:
-            return False, LeftFails(lhs)
-        rhs_true, rhs = _decide(lifted, phi.rhs, env)
-        return (True, Both(lhs, rhs)) if rhs_true else (False, RightFails(rhs))
-    if not lhs_true:
-        return True, NegAntecedent(lhs)
-    rhs_true, rhs = _decide(lifted, phi.rhs, env)
-    return (True, Consequent(rhs)) if rhs_true else (False, Unimplied(lhs, rhs))
+        if not isinstance(lhs, Evidence):
+            return LeftFails(lhs)
+        rhs = _decide(lifted, phi.rhs, env)
+        return Both(lhs, rhs) if isinstance(rhs, Evidence) else RightFails(rhs)
+    if not isinstance(lhs, Evidence):
+        return NegAntecedent(lhs)
+    rhs = _decide(lifted, phi.rhs, env)
+    return Consequent(rhs) if isinstance(rhs, Evidence) else Unimplied(lhs, rhs)
 
 
 def _decide_binder(
     lifted: Lifted, phi: Exists | Forall, env: Environment
-) -> tuple[bool, Evidence | Refutation]:
+) -> Evidence | Refutation:
     """The first eliminated product that holds gives a witness or counterexample."""
     products, parts = lifted.binders[id(phi)]
     body, universal = phi.body, isinstance(phi, Forall)
@@ -214,19 +214,15 @@ def _decide_binder(
         if eval_qfree(part, env):
             value = lifted.step.prod_witness(product, env)
             term = _body_term(lifted, body, env, value, not universal)
-            if universal:
-                return False, Counterexample(value, term)
-            return True, Witness(value, term)
+            return Counterexample(value, term) if universal else Witness(value, term)
     provider = partial(_body_term, lifted, body, env, holds=universal)
-    if universal:
-        return True, UniversalEvidence(provider)
-    return False, ExistsRefuted(provider)
+    return UniversalEvidence(provider) if universal else ExistsRefuted(provider)
 
 
 def _body_term(lifted: Lifted, body: Formula, env: Environment, value: int, holds: bool):
     """The body's evidence (holds) or refutation (not) at value, as lifted."""
-    truth, term = _decide(lifted, body, extend(env, value))
-    if truth != holds:
+    term = _decide(lifted, body, extend(env, value))
+    if isinstance(term, Evidence) != holds:
         raise EngineError(f"the body decides against its lift at {value}")
     return term
 
@@ -239,10 +235,8 @@ def lem(
     max_products: int | None = None,
 ) -> Evidence | Refutation:
     """Excluded middle, realized: evidence for phi or a refutation of it."""
-    decision = decide(step, phi, env, max_products=max_products)
-    if isinstance(decision, Yes):
-        return decision.evidence
-    return decision.refutation
+    lifted = lift(step, phi, max_products=max_products)
+    return _decide(lifted, phi, check_env(phi, env))
 
 
 def forall_or_counterexample(
@@ -253,16 +247,12 @@ def forall_or_counterexample(
     max_products: int | None = None,
 ) -> UniversalEvidence | tuple[int, Refutation]:
     """For a body at arity n+1: universal evidence or a counterexample pair."""
-    decision = decide(step, Forall(body), env, max_products=max_products)
-    if isinstance(decision, Yes):
-        evidence = decision.evidence
-        if not isinstance(evidence, UniversalEvidence):
-            raise EngineError(f"unexpected evidence shape for Forall: {evidence!r}")
-        return evidence
-    refutation = decision.refutation
-    if not isinstance(refutation, Counterexample):
-        raise EngineError(f"unexpected refutation shape for Forall: {refutation!r}")
-    return refutation.value, refutation.sub
+    term = lem(step, Forall(body), env, max_products=max_products)
+    if isinstance(term, UniversalEvidence):
+        return term
+    if isinstance(term, Counterexample):
+        return term.value, term.sub
+    raise EngineError(f"unexpected term for Forall: {term!r}")
 
 
 def exists_or_refutation(
@@ -273,16 +263,12 @@ def exists_or_refutation(
     max_products: int | None = None,
 ) -> tuple[int, Evidence] | ExistsRefuted:
     """For a body at arity n+1: a witness pair or a deferred refutation."""
-    decision = decide(step, Exists(body), env, max_products=max_products)
-    if isinstance(decision, Yes):
-        evidence = decision.evidence
-        if not isinstance(evidence, Witness):
-            raise EngineError(f"unexpected evidence shape for Exists: {evidence!r}")
-        return evidence.value, evidence.sub
-    refutation = decision.refutation
-    if not isinstance(refutation, ExistsRefuted):
-        raise EngineError(f"unexpected refutation shape for Exists: {refutation!r}")
-    return refutation
+    term = lem(step, Exists(body), env, max_products=max_products)
+    if isinstance(term, Witness):
+        return term.value, term.sub
+    if isinstance(term, ExistsRefuted):
+        return term
+    raise EngineError(f"unexpected term for Exists: {term!r}")
 
 
 def instantiate_universal(evidence: UniversalEvidence, value: int) -> Evidence:

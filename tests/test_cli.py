@@ -204,6 +204,8 @@ def test_split_needs_exactly_one_free_name(capsys):
         ("decide", "exists x. x = " + "9" * 5000),
         ("decide", "x = 0", "--env", "1x=0"),
         ("decide", "x = 0", "--env", "forall=0"),
+        ("decide", "x = 0", "--env", "é=0"),
+        ("decide", "x = 0", "--env", "x y=0"),
     ],
 )
 def test_usage_and_parse_errors_exit_2(capsys, argv):

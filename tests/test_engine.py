@@ -18,6 +18,7 @@ from qelim import (
     Counterexample,
     Dnf,
     DnfLimitError,
+    EngineError,
     Evidence,
     Exists,
     ExistsRefuted,
@@ -35,6 +36,7 @@ from qelim import (
     Product,
     SNAtom,
     STEP,
+    SuccessorStep,
     UniversalEvidence,
     Unimplied,
     Witness,
@@ -196,6 +198,9 @@ def test_lem_consistent_with_decide():
         branch = lem(STEP, phi, env)
         decision = decide(STEP, phi, env)
         assert isinstance(branch, Evidence) == isinstance(decision, Yes)
+        # Term for term; providers compare equal by design.
+        term = decision.evidence if isinstance(decision, Yes) else decision.refutation
+        assert branch == term
 
 
 # --- quantifier front doors -------------------------------------------------------------
@@ -341,8 +346,18 @@ def test_decide_wide_left_chain_is_linear(monkeypatch):
     assert count[0] <= 4 * n
 
 
-def test_one_binder_object_at_two_positions():
-    # The lift keeps one table entry per binder object, keyed on identity.
+def test_one_binder_object_at_two_positions(monkeypatch):
+    # The lift keeps one table entry per binder object, keyed on identity,
+    # and lifts each object once however many positions it occupies.
+    calls = []
+    real = qelim.engine.to_dnf
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qelim.engine, "to_dnf", counting)
+
     def atom(lhs, rhs):
         return Atom(SNAtom(lhs, rhs), 2)
 
@@ -357,9 +372,32 @@ def test_one_binder_object_at_two_positions():
     for inner in list(formulas):
         formulas.append(Forall(Implies(Atom(SNAtom(var_term(0), zero_term(1)), 1), inner)))
     for phi in formulas:
-        assert len(lift(STEP, phi).binders) == 2 + isinstance(phi, Forall)
+        calls.clear()
+        entries = len(lift(STEP, phi).binders)
+        assert entries == 2 + isinstance(phi, Forall)
+        assert len(calls) == entries, repr(phi)
         for y_value in range(4):
             env = (y_value,) * phi.arity
             decision = decide(STEP, phi, env)
             assert isinstance(decision, Yes) == oracle_decide(phi, env), repr(phi)
             assert check_evidence(decision, phi, env), repr(phi)
+
+
+def test_a_lying_step_is_caught_by_the_truth_checks():
+    class TrueStep(SuccessorStep):
+        def eliminate_product(self, p):
+            return mk_true(p.arity - 1)
+
+    class FalseStep(SuccessorStep):
+        def eliminate_product(self, p):
+            return Falsum(p.arity - 1)
+
+    # exists x. x = 5 & x = 6: the lift says true, the body at the witness says no.
+    with pytest.raises(EngineError, match="the body decides against its lift at 5"):
+        decide(TrueStep(), Exists(And(x_eq(5), x_eq(6))))
+    # forall x. x = 5: the lift says true, so the refuting value shows only on query.
+    decision = decide(FalseStep(), Forall(x_eq(5)))
+    assert isinstance(decision, Yes) and isinstance(decision.evidence, UniversalEvidence)
+    with pytest.raises(EngineError, match="the body decides against its lift at 3"):
+        decision.evidence.instantiate(3)
+    assert not check_evidence(decision, Forall(x_eq(5)), ())
