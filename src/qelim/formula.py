@@ -362,101 +362,81 @@ def check_evidence(
     env: Sequence[Any],
     samples: Sampler | None = None,
 ) -> bool:
-    """Structurally validate a decision against a formula.
+    """Structurally validate a decision against a formula, in one walk.
 
-    Leaves are re-evaluated, witnesses are checked by recursion under the
-    extended environment, and provider-style evidence (universals, refuted
-    existentials) is spot-checked at a sample of values, by default {0, 1}
-    and the successor theory's ``candidates``: a theory with other atoms
-    passes ``samples``.  A shape mismatch returns False rather than raising;
-    a bad environment length or a failing sampler raises.
+    Leaves are re-evaluated, witnesses and counterexamples are checked under
+    the extended environment, and providers (universal evidence, refuted
+    existentials) are spot-checked at a sample of values, by default {0, 1}
+    and the successor theory's ``candidates``; other theories pass ``samples``.
+    A shape mismatch, or a provider raising at a sampled value, is an invalid
+    term: False, never an error.  A bad environment or failing sampler raises.
     """
     env = check_env(phi, env)
     sampler = samples if samples is not None else _default_samples
     if isinstance(decision, Yes):
-        return _check_holds(decision.evidence, phi, env, sampler)
+        return _check(decision.evidence, True, phi, env, sampler)
     if isinstance(decision, No):
-        return _check_fails(decision.refutation, phi, env, sampler)
+        return _check(decision.refutation, False, phi, env, sampler)
     return False
 
 
-def _check_holds(ev: Evidence, phi: Formula, env: Environment, sampler: Sampler) -> bool:
+def _check(term, holds: bool, phi: Formula, env: Environment, sampler: Sampler) -> bool:
+    """Does term show that phi holds under env (holds) or that it fails (not)?"""
     if isinstance(phi, Atom):
-        return isinstance(ev, AtomHolds) and bool(phi.atom.holds(env))
+        leaf = AtomHolds if holds else AtomFails
+        return isinstance(term, leaf) and bool(phi.atom.holds(env)) == holds
     if isinstance(phi, Falsum):
-        return False
+        return not holds and isinstance(term, FalsumRefuted)
     if isinstance(phi, Or):
-        if isinstance(ev, OrLeft):
-            return _check_holds(ev.sub, phi.lhs, env, sampler)
-        if isinstance(ev, OrRight):
-            return _check_holds(ev.sub, phi.rhs, env, sampler)
+        if not holds:
+            return (
+                isinstance(term, NeitherHolds)
+                and _check(term.left, False, phi.lhs, env, sampler)
+                and _check(term.right, False, phi.rhs, env, sampler)
+            )
+        if isinstance(term, OrLeft):
+            return _check(term.sub, True, phi.lhs, env, sampler)
+        if isinstance(term, OrRight):
+            return _check(term.sub, True, phi.rhs, env, sampler)
         return False
     if isinstance(phi, And):
-        return (
-            isinstance(ev, Both)
-            and _check_holds(ev.left, phi.lhs, env, sampler)
-            and _check_holds(ev.right, phi.rhs, env, sampler)
-        )
-    if isinstance(phi, Implies):
-        if isinstance(ev, NegAntecedent):
-            return _check_fails(ev.refutation, phi.lhs, env, sampler)
-        if isinstance(ev, Consequent):
-            return _check_holds(ev.evidence, phi.rhs, env, sampler)
-        return False
-    if isinstance(phi, Exists):
-        return isinstance(ev, Witness) and _check_holds(
-            ev.sub, phi.body, extend(env, ev.value), sampler
-        )
-    if isinstance(phi, Forall):
-        if not isinstance(ev, UniversalEvidence):
-            return False
-        for value in sampler(phi.body, env):
-            try:
-                sub = ev.instantiate(value)
-            except Exception:
-                return False
-            if not _check_holds(sub, phi.body, extend(env, value), sampler):
-                return False
-        return True
-    raise TypeError(f"not a Formula: {phi!r}")
-
-
-def _check_fails(rf: Refutation, phi: Formula, env: Environment, sampler: Sampler) -> bool:
-    if isinstance(phi, Falsum):
-        return isinstance(rf, FalsumRefuted)
-    if isinstance(phi, Atom):
-        return isinstance(rf, AtomFails) and not phi.atom.holds(env)
-    if isinstance(phi, Or):
-        return (
-            isinstance(rf, NeitherHolds)
-            and _check_fails(rf.left, phi.lhs, env, sampler)
-            and _check_fails(rf.right, phi.rhs, env, sampler)
-        )
-    if isinstance(phi, And):
-        if isinstance(rf, LeftFails):
-            return _check_fails(rf.sub, phi.lhs, env, sampler)
-        if isinstance(rf, RightFails):
-            return _check_fails(rf.sub, phi.rhs, env, sampler)
+        if holds:
+            return (
+                isinstance(term, Both)
+                and _check(term.left, True, phi.lhs, env, sampler)
+                and _check(term.right, True, phi.rhs, env, sampler)
+            )
+        if isinstance(term, LeftFails):
+            return _check(term.sub, False, phi.lhs, env, sampler)
+        if isinstance(term, RightFails):
+            return _check(term.sub, False, phi.rhs, env, sampler)
         return False
     if isinstance(phi, Implies):
-        return (
-            isinstance(rf, Unimplied)
-            and _check_holds(rf.antecedent, phi.lhs, env, sampler)
-            and _check_fails(rf.consequent, phi.rhs, env, sampler)
-        )
-    if isinstance(phi, Exists):
-        if not isinstance(rf, ExistsRefuted):
+        if not holds:
+            return (
+                isinstance(term, Unimplied)
+                and _check(term.antecedent, True, phi.lhs, env, sampler)
+                and _check(term.consequent, False, phi.rhs, env, sampler)
+            )
+        if isinstance(term, NegAntecedent):
+            return _check(term.refutation, False, phi.lhs, env, sampler)
+        if isinstance(term, Consequent):
+            return _check(term.evidence, True, phi.rhs, env, sampler)
+        return False
+    if not isinstance(phi, (Exists, Forall)):
+        raise TypeError(f"not a Formula: {phi!r}")
+    if holds == isinstance(phi, Exists):  # a witness or a counterexample settles it
+        if not isinstance(term, Witness if holds else Counterexample):
             return False
-        for value in sampler(phi.body, env):
-            try:
-                sub = rf.refute_at(value)
-            except Exception:
-                return False
-            if not _check_fails(sub, phi.body, extend(env, value), sampler):
-                return False
-        return True
-    if isinstance(phi, Forall):
-        return isinstance(rf, Counterexample) and _check_fails(
-            rf.sub, phi.body, extend(env, rf.value), sampler
-        )
-    raise TypeError(f"not a Formula: {phi!r}")
+        return _check(term.sub, holds, phi.body, extend(env, term.value), sampler)
+    if not isinstance(term, UniversalEvidence if holds else ExistsRefuted):
+        return False
+    at = term.instantiate if holds else term.refute_at
+    for value in sampler(phi.body, env):
+        try:
+            sub = at(value)
+        except Exception:
+            return False
+        if not _check(sub, holds, phi.body, extend(env, value), sampler):
+            return False
+    return True

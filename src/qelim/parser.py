@@ -33,7 +33,7 @@ level of parentheses, so a longer chain raises ParseError.
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .formula import (
     And,
@@ -103,7 +103,7 @@ MAX_NESTING = 100
 
 
 class SurfaceParser:
-    """Recursive-descent parser for the surface grammar."""
+    """Recursive-descent parser for the surface grammar; each instance parses once."""
 
     def __init__(self, text: str, free_vars: Sequence[str] = ()) -> None:
         self.free_vars = list(free_vars)
@@ -115,16 +115,16 @@ class SurfaceParser:
         self.used_free_names: set[str] = set()
         self._depth = 0
 
-    def _nest(self, at: int) -> None:
+    def _nested(self, at: int, rule: Callable[[], Formula]) -> Formula:
         self._depth += 1
         if self._depth > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING}", at)
-
-    def _unnest(self) -> None:
+        phi = rule()
         self._depth -= 1
+        return phi
 
     def parse(self) -> Formula:
-        phi = self._formula()
+        phi = self._implies()
         kind, value, at = self.tokens[self.pos]
         if kind != "EOF":
             raise ParseError(f"trailing input {value!r}", at)
@@ -152,9 +152,6 @@ class SurfaceParser:
         return len(self.binders) + len(self.free_vars)
 
     # grammar rules
-
-    def _formula(self) -> Formula:
-        return self._implies()
 
     def _implies(self) -> Formula:
         parts = [self._or()]
@@ -184,11 +181,7 @@ class SurfaceParser:
         kind, _, at = self._peek()
         if kind == "~":
             self._advance()
-            self._nest(at)
-            try:
-                return mk_not(self._unary())
-            finally:
-                self._unnest()
+            return mk_not(self._nested(at, self._unary))
         if kind in ("FORALL", "EXISTS"):
             return self._quantified()
         return self._primary()
@@ -198,23 +191,15 @@ class SurfaceParser:
         _, name, _ = self._expect("NAME")
         self._expect(".")
         self.binders.insert(0, name)
-        self._nest(at)
-        try:
-            body = self._formula()
-        finally:
-            self._unnest()
-            self.binders.pop(0)
+        body = self._nested(at, self._implies)
+        self.binders.pop(0)
         return Exists(body) if kind == "EXISTS" else Forall(body)
 
     def _primary(self) -> Formula:
         kind, value, at = self._peek()
         if kind == "(":
             self._advance()
-            self._nest(at)
-            try:
-                phi = self._formula()
-            finally:
-                self._unnest()
+            phi = self._nested(at, self._implies)
             self._expect(")")
             return phi
         if kind == "FALSE":

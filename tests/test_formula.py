@@ -2,6 +2,7 @@
 
 import importlib
 import sys
+from dataclasses import fields, replace
 from random import Random
 
 import pytest
@@ -13,19 +14,25 @@ from qelim import (
     AtomFails,
     AtomHolds,
     Both,
+    Consequent,
     Counterexample,
+    Evidence,
     Exists,
     ExistsRefuted,
     Falsum,
     FalsumRefuted,
     Forall,
     Implies,
+    LeftFails,
     NegAntecedent,
     NeitherHolds,
     No,
     NotQuantifierFree,
     Or,
     OrLeft,
+    OrRight,
+    Refutation,
+    RightFails,
     SNAtom,
     STEP,
     UniversalEvidence,
@@ -38,6 +45,7 @@ from qelim import (
     is_qfree,
     mk_not,
     mk_true,
+    oracle_decide,
     parse,
     var_term,
     zero_term,
@@ -227,6 +235,76 @@ def test_check_evidence_shape_mismatch_is_false_not_an_error():
     t1 = Atom(SNAtom(var_term(0), var_term(0)), 1)
     assert check_evidence(Yes(Witness(0, AtomHolds())), Forall(t1), ()) is False
     assert check_evidence(No(AtomFails()), Exists(t1), ()) is False
+    # Terms for the other claim than the decision's, at the root or below it.
+    f = Atom(SNAtom(zero_term(0), zero_term(1)), 0)
+    always = Exists(t1)
+    never = Forall(Atom(SNAtom(var_term(0), var_term(0, 1)), 1))
+    assert check_evidence(Yes(AtomFails()), f, ()) is False
+    assert check_evidence(No(AtomHolds()), t, ()) is False
+    assert check_evidence(Yes(OrLeft(AtomFails())), Or(f, t), ()) is False
+    assert check_evidence(No(LeftFails(AtomHolds())), And(t, f), ()) is False
+    assert check_evidence(Yes(Consequent(AtomFails())), Implies(t, f), ()) is False
+    assert check_evidence(Yes(Witness(0, AtomFails())), Exists(x_eq(1)), ()) is False
+    assert check_evidence(No(Counterexample(0, AtomHolds())), Forall(x_eq(0)), ()) is False
+    assert check_evidence(Yes(Counterexample(0, AtomHolds())), always, ()) is False
+    assert check_evidence(No(Witness(0, AtomFails())), never, ()) is False
+    assert check_evidence(Yes(FalsumRefuted()), Falsum(0), ()) is False
+    assert check_evidence(Yes(UniversalEvidence(lambda v: AtomFails())), never, ()) is False
+    assert check_evidence(No(ExistsRefuted(lambda v: AtomHolds())), always, ()) is False
+
+
+# One-position changes of a term: the mirror class at one node, a witness
+# or counterexample value moved by one, or a leaf term in place of a node.
+# Providers are not entered.
+_MIRROR = {
+    OrLeft: OrRight,
+    OrRight: OrLeft,
+    LeftFails: RightFails,
+    RightFails: LeftFails,
+    Witness: Counterexample,
+    Counterexample: Witness,
+    UniversalEvidence: ExistsRefuted,
+    ExistsRefuted: UniversalEvidence,
+}
+_LEAVES = (AtomHolds(), AtomFails(), FalsumRefuted())
+
+
+def _mutants(term):
+    kind = type(term)
+    if kind in _MIRROR:
+        yield _MIRROR[kind](*(getattr(term, f.name) for f in fields(term)))
+    if kind in (Witness, Counterexample):
+        yield kind(term.value + 1, term.sub)
+        if term.value > 0:
+            yield kind(term.value - 1, term.sub)
+    yield from (leaf for leaf in _LEAVES if type(leaf) is not kind)
+    for f in fields(term):
+        sub = getattr(term, f.name)
+        if isinstance(sub, (Evidence, Refutation)):
+            for mutant in _mutants(sub):
+                yield replace(term, **{f.name: mutant})
+
+
+def test_check_evidence_accepts_no_mutant_that_the_oracle_refutes():
+    rng = Random(2718)
+    mutants = accepted = 0
+    for _ in range(300):
+        arity = rng.randint(0, 2)
+        phi = random_formula(rng, arity, rng.randint(1, 5), 3)
+        env = random_env(rng, arity)
+        decision = decide(STEP, phi, env, max_products=10_000)
+        term = decision.evidence if isinstance(decision, Yes) else decision.refutation
+        truth = oracle_decide(phi, env)
+        for mutant in _mutants(term):
+            mutants += 1
+            if check_evidence(Yes(mutant), phi, env):
+                accepted += 1
+                assert truth, (phi, env, mutant)
+            if check_evidence(No(mutant), phi, env):
+                accepted += 1
+                assert not truth, (phi, env, mutant)
+    assert mutants > 2000
+    assert accepted < mutants / 10
 
 
 def test_check_evidence_rechecks_leaves():

@@ -15,6 +15,7 @@ from qelim import (
     Falsum,
     Forall,
     Implies,
+    No,
     Or,
     SNAtom,
     SNTerm,
@@ -71,3 +72,7 @@ def test_decide_agrees_with_oracle_and_evidence_checks(case):
     decision = decide(STEP, phi, env, max_products=10_000)
     assert isinstance(decision, Yes) == oracle_decide(phi, env)
     assert check_evidence(decision, phi, env)
+    if isinstance(decision, Yes):
+        assert not check_evidence(No(decision.evidence), phi, env)
+    else:
+        assert not check_evidence(Yes(decision.refutation), phi, env)
