@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Protocol, Sequence
 
-from .dnf import Dnf, Literal, Product, Truth, disjoin, to_dnf
+from .dnf import Dnf, Literal, Product, Truth, disjoin, simplify_literals, to_dnf
 from .formula import (
     And,
     Atom,
@@ -77,8 +77,14 @@ class ProdQEStep(Protocol):
     for index 0 when the eliminated product is true under the environment.
     ``literal_truth`` lets DNF construction drop decided literals.  A step
     may additionally offer ``canonical_atom`` for literal deduplication.
-    The hooks run on every literal occurrence, in every DNF and in every
-    elimination, so a theory should make them cheap for a repeated atom.
+
+    The engine hands ``eliminate_product`` and ``prod_witness`` only
+    products simplified with the step's own hooks: no literal that
+    ``literal_truth`` decides, and no two literals with one key
+    ``(positive, canonical_atom(atom))`` (the atom itself without the hook),
+    so a step need not simplify them again.  The hooks run on every literal
+    occurrence of every DNF, so a theory should make them cheap for a
+    repeated atom.
     """
 
     def eliminate_product(self, p: Product) -> Formula: ...
@@ -89,10 +95,19 @@ class ProdQEStep(Protocol):
 
 
 def eliminate_dnf(step: ProdQEStep, d: Dnf) -> Formula:
-    """Disjunction of per-product eliminations; empty DNF gives Falsum."""
+    """Disjunction of per-product eliminations; empty DNF gives Falsum.
+
+    d may be any DNF: each product is simplified with the step's hooks
+    first, and one with a false literal contributes Falsum.
+    """
     if d.arity < 1:
         raise ValueError("eliminate_dnf needs arity at least 1")
-    return disjoin([step.eliminate_product(p) for p in d.products], d.arity - 1)
+    n, canonical_atom = d.arity - 1, getattr(step, "canonical_atom", None)
+    parts = []
+    for p in d.products:
+        lits = simplify_literals(p.literals, step.literal_truth, canonical_atom)
+        parts.append(Falsum(n) if lits is None else step.eliminate_product(Product(lits, d.arity)))
+    return disjoin(parts, n)
 
 
 @dataclass(eq=False, repr=False, slots=True)

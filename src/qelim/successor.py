@@ -9,18 +9,19 @@ and two independent decision oracles used to cross-check the engine.
 The elimination step works on a product of literals whose innermost
 variable (index 0) is being removed:
 
-1. classify every literal; drop the trivially true ones, and give up with
-   Falsum when one is trivially false;
+1. simplify: drop the trivially true literals and the duplicates, and give
+   Falsum at a trivially false one.  ``to_dnf`` has already done this to
+   the engine's products, so only the module functions do it;
 2. if a positive literal mentions index 0, canonicalize it into a pivot
    ``S^a(Var 0) = S^b(t)``, where t is another variable or the constant
-   zero, and substitute its solution for index 0 everywhere (collecting
-   ``t != 0, ..., t != d-1`` side conditions when the solution is ``t - d``),
-   then re-simplify and recurse; a pivot ``S^a(Var 0) = S^b(0)`` with a > b
-   has no solution and gives Falsum at once;
-3. otherwise index 0 occurs only in negative literals, each of which
-   excludes at most one value; since the naturals are infinite, drop them;
-4. finally every index is at least 1: decrement each by one and read the
-   product back as a formula one arity down.
+   zero; with t zero and a > b it has no solution, and gives Falsum;
+3. else solve it for index 0 (with side conditions ``t != 0, ...,
+   t != d-1`` when the solution is ``t - d``) and make one walk over the
+   other literals and the side conditions: substitute into atoms read one
+   arity down, drop true literals, give Falsum at a false one, dedupe;
+4. without a pivot, index 0 occurs only in negative literals, each of
+   which excludes at most one value; since the naturals are infinite, drop
+   them and read the rest one arity down.
 
 The hooks run on every literal occurrence, so each atom caches its
 canonical form: ``canonicalize`` fills the slot on first use.
@@ -29,7 +30,8 @@ canonical form: ``canonicalize`` fills the slot on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain
+from typing import Callable, Sequence
 
 from . import formula
 from .dnf import Literal, Product, Truth, interpret_product, simplify_literals
@@ -142,9 +144,8 @@ def canonicalize(a: SNAtom) -> SNAtom:
 def _canonical_form(a: SNAtom) -> SNAtom:
     lhs, rhs = a.lhs, a.rhs
     drop = min(lhs.shift, rhs.shift)
-    flip = (rhs.is_var and lhs.is_zero) or (
-        lhs.is_var and rhs.is_var and rhs.index < lhs.index
-    )
+    # A variable goes left of zero, and the smaller of two indices left.
+    flip = rhs.index is not None and (lhs.index is None or rhs.index < lhs.index)
     if not drop and not flip:
         return a
     lhs = SNTerm(lhs.index, lhs.shift - drop)
@@ -157,10 +158,7 @@ def _canonical_form(a: SNAtom) -> SNAtom:
 def literal_truth(lit: Literal) -> Truth:
     """Decide literals whose two sides share a base; Unknown otherwise."""
     a = canonicalize(lit.atom)
-    same_base = (a.lhs.is_zero and a.rhs.is_zero) or (
-        a.lhs.is_var and a.rhs.is_var and a.lhs.index == a.rhs.index
-    )
-    if not same_base:
+    if a.lhs.index != a.rhs.index:  # zero's index is None, so this compares bases
         return Truth.UNKNOWN
     holds = a.lhs.shift == a.rhs.shift
     if holds == lit.positive:
@@ -169,7 +167,7 @@ def literal_truth(lit: Literal) -> Truth:
 
 
 def _mentions_var0(a: SNAtom) -> bool:
-    return (a.lhs.is_var and a.lhs.index == 0) or (a.rhs.is_var and a.rhs.index == 0)
+    return a.lhs.index == 0 or a.rhs.index == 0
 
 
 def subst_pivot(p: Product, pivot: Literal) -> tuple[Product, tuple[Literal, ...]]:
@@ -190,34 +188,7 @@ def subst_pivot(p: Product, pivot: Literal) -> tuple[Product, tuple[Literal, ...
     substituted and returned together with the side conditions.
     """
     canon = canonicalize(pivot.atom)
-    if not (canon.lhs.is_var and canon.lhs.index == 0):
-        raise PivotError(f"pivot does not mention index 0: {pivot!r}")
-    if canon.rhs.is_var and canon.rhs.index == 0:
-        raise PivotError(f"pivot solves index 0 against itself: {pivot!r}")
-    if not pivot.positive:
-        raise PivotError(f"pivot literal must be positive: {pivot!r}")
-    a = canon.lhs.shift
-    b = canon.rhs.shift
-    target = canon.rhs
-    lift = b - a if b >= a else 0
-    drop = a - b if a > b else 0
-
-    def sub_literal(lit: Literal) -> Literal:
-        lhs, rhs = lit.atom.lhs, lit.atom.rhs
-        lhit = lhs.is_var and lhs.index == 0
-        rhit = rhs.is_var and rhs.index == 0
-        if not (lhit or rhit):
-            return lit
-        if lhit and rhit:
-            raise PivotError(f"literal mentions index 0 on both sides: {lit!r}")
-        if lhit:
-            lhs = SNTerm(target.index, lhs.shift + lift)
-            rhs = rhs.shifted(drop)
-        else:
-            rhs = SNTerm(target.index, rhs.shift + lift)
-            lhs = lhs.shifted(drop)
-        return Literal(lit.positive, SNAtom(lhs, rhs))
-
+    sub, side = _solution(pivot, canon, 0)
     consumed = False
     remaining: list[Literal] = []
     for lit in p.literals:
@@ -229,59 +200,98 @@ def subst_pivot(p: Product, pivot: Literal) -> tuple[Product, tuple[Literal, ...
         ):
             consumed = True
             continue
-        remaining.append(sub_literal(lit))
-
-    side = tuple(
-        Literal.neg(SNAtom(SNTerm(target.index, 0), zero_term(i))) for i in range(drop)
-    )
+        remaining.append(sub(lit))
     return Product(tuple(remaining), p.arity), side
 
 
-def _strengthen_term(t: SNTerm) -> SNTerm:
-    if t.is_var:
-        return SNTerm(t.index - 1, t.shift)
-    return t
+def _solution(
+    pivot: Literal, canon: SNAtom, lower: int
+) -> tuple[Callable[[Literal], Literal], tuple[Literal, ...]]:
+    """The per-literal substitution of ``subst_pivot``, and its side conditions.
+
+    canon is the pivot's canonical atom.  Every variable index other than 0
+    also drops by lower: 0 keeps the arity, and a literal without index 0
+    comes back as itself; 1 reads the result one arity down.
+    """
+    if not (canon.lhs.is_var and canon.lhs.index == 0):
+        raise PivotError(f"pivot does not mention index 0: {pivot!r}")
+    if canon.rhs.is_var and canon.rhs.index == 0:
+        raise PivotError(f"pivot solves index 0 against itself: {pivot!r}")
+    if not pivot.positive:
+        raise PivotError(f"pivot literal must be positive: {pivot!r}")
+    a = canon.lhs.shift
+    b = canon.rhs.shift
+    target = None if canon.rhs.is_zero else canon.rhs.index - lower
+    lift = b - a if b >= a else 0
+    drop = a - b if a > b else 0
+
+    def sub(lit: Literal) -> Literal:
+        lhs, rhs = lit.atom.lhs, lit.atom.rhs
+        lhit = lhs.index == 0
+        rhit = rhs.index == 0
+        if lhit and rhit:
+            raise PivotError(f"literal mentions index 0 on both sides: {lit!r}")
+        if lhit:
+            lhs = SNTerm(target, lhs.shift + lift)
+            rhs = _moved(rhs, lower, drop)
+        elif rhit:
+            rhs = SNTerm(target, rhs.shift + lift)
+            lhs = _moved(lhs, lower, drop)
+        elif lower:
+            return _lowered(lit)
+        else:
+            return lit
+        return Literal(lit.positive, SNAtom(lhs, rhs))
+
+    side = tuple(Literal.neg(SNAtom(SNTerm(target, 0), zero_term(i))) for i in range(drop))
+    return sub, side
 
 
-def _strengthen(lit: Literal) -> Literal:
-    return Literal(
-        lit.positive,
-        SNAtom(_strengthen_term(lit.atom.lhs), _strengthen_term(lit.atom.rhs)),
-    )
+def _moved(t: SNTerm, lower: int, extra: int) -> SNTerm:
+    """t with a variable index lowered by lower and extra successors added."""
+    return SNTerm(t.index if t.index is None else t.index - lower, t.shift + extra)
 
 
-def _prepare(p: Product) -> tuple[tuple[Literal, ...], Literal | None] | None:
-    """Simplified literals plus the pivot choice; None when a literal is false."""
-    lits = simplify_literals(p.literals, literal_truth, canonicalize)
-    if lits is None:
-        return None
-    pivot = None
+def _lowered(lit: Literal) -> Literal:
+    """A literal without index 0, read one arity down."""
+    atom = lit.atom
+    return Literal(lit.positive, SNAtom(_moved(atom.lhs, 1, 0), _moved(atom.rhs, 1, 0)))
+
+
+def _pivot(lits: tuple[Literal, ...]) -> Literal | None:
+    """The first positive literal that mentions index 0, if any."""
     for lit in lits:
         if lit.positive and _mentions_var0(lit.atom):
-            pivot = lit
-            break
-    return lits, pivot
+            return lit
+    return None
 
 
 def eliminate_product(p: Product) -> Formula:
     """Eliminate index 0 from a product; the result is one arity down."""
+    return _eliminate(p, simplify_literals(p.literals, literal_truth, canonicalize))
+
+
+def _eliminate(p: Product, lits: tuple[Literal, ...] | None) -> Formula:
+    """Eliminate index 0 from p, given its literals simplified; None when one is false."""
     if p.arity < 1:
         raise ArityError("eliminate_product needs arity at least 1")
     n = p.arity - 1
-    prepared = _prepare(p)
-    if prepared is None:
+    if lits is None:
         return Falsum(n)
-    lits, pivot = prepared
-    if pivot is not None:
-        canon = canonicalize(pivot.atom)
-        # Unsolvable constant pivot: skip a substitution and a re-simplification.
-        if canon.rhs.is_zero and canon.lhs.shift > canon.rhs.shift:
-            return Falsum(n)
-        remaining, side = subst_pivot(Product(lits, p.arity), pivot)
-        return eliminate_product(Product(remaining.literals + side, p.arity))
-    kept = tuple(l for l in lits if not _mentions_var0(l.atom))
-    lowered = Product(tuple(_strengthen(l) for l in kept), n)
-    return interpret_product(lowered)
+    pivot = _pivot(lits)
+    if pivot is None:
+        kept = tuple(_lowered(l) for l in lits if not _mentions_var0(l.atom))
+        return interpret_product(Product(kept, n))
+    canon = canonicalize(pivot.atom)
+    # Unsolvable constant pivot: no substitution at all.
+    if canon.rhs.is_zero and canon.lhs.shift > canon.rhs.shift:
+        return Falsum(n)
+    # The one walk: substitute into lowered atoms, drop true literals, stop
+    # at a false one, dedupe.  The pivot is the only literal with its key.
+    sub, side = _solution(pivot, canon, 1)
+    substituted = (sub(l) for l in lits if l is not pivot)
+    rest = simplify_literals(chain(substituted, side), literal_truth, canonicalize)
+    return Falsum(n) if rest is None else interpret_product(Product(rest, n))
 
 
 def prod_witness(p: Product, env: Sequence[int]) -> int:
@@ -292,15 +302,19 @@ def prod_witness(p: Product, env: Sequence[int]) -> int:
     excluded by no negative literal is returned.  Called on a product whose
     elimination is false under env, this raises UnsatisfiableProductError.
     """
+    return _witness(p, env, simplify_literals(p.literals, literal_truth, canonicalize))
+
+
+def _witness(p: Product, env: Sequence[int], lits: tuple[Literal, ...] | None) -> int:
+    """``prod_witness``, given p's literals simplified; None when one is false."""
     env = tuple(env)
     if len(env) != p.arity - 1:
         raise ArityError(
             f"environment length {len(env)} does not match product arity {p.arity}"
         )
-    prepared = _prepare(p)
-    if prepared is None:
+    if lits is None:
         raise UnsatisfiableProductError(f"product contains a false literal: {p!r}")
-    lits, pivot = prepared
+    pivot = _pivot(lits)
     if pivot is not None:
         canon = canonicalize(pivot.atom)
         t = canon.rhs
@@ -355,64 +369,83 @@ def candidates(body: Formula, env: Sequence[int]) -> set[int]:
     round per inner quantifier, so constraint chains propagate), and adds a
     single fresh value larger than everything mentioned.  Values outside the
     resulting set are indistinguishable from the fresh one, which makes the
-    enumeration in ``oracle_decide`` exact.
+    enumeration in ``oracle_decide`` exact.  Each call analyses body afresh;
+    ``oracle_decide`` analyses each binder once per call.
     """
     env = tuple(env)
     if body.arity != len(env) + 1:
         raise ArityError(
             f"body arity {body.arity} does not extend environment of length {len(env)}"
         )
+    marks = [
+        (f.atom if isinstance(f, Atom) else None, depth)
+        for f, depth in subformulas(body)
+        if isinstance(f, (Atom, Exists, Forall))
+    ]
+    return _analyse(marks, 0)(env)
+
+
+def _analyse(
+    marks: list[tuple[SNAtom | None, int]], base: int
+) -> Callable[[Environment], set[int]]:
+    """``candidates`` as a function of the environment, read from a body's marks.
+
+    A mark is an atom of the body, or None for a binder in it, with its
+    binder depth, counted from base.  The reading keeps what no environment
+    changes: the largest shift, the constant solution points, the offsets
+    between two open sides with their ranges, and the rounds; an atom solved
+    against an environment value leaves that value's position and offset.
+    """
     points: set[int] = set()
     offsets: set[int] = set()
-    shifts = {0}
-    rounds = 0
-    for f, depth in subformulas(body):
-        if not isinstance(f, Atom):
-            rounds += isinstance(f, (Exists, Forall))
+    solved: set[tuple[int, int]] = set()  # (position, offset): env[position] + offset
+    top = rounds = 0
+    for a, depth in marks:
+        if a is None:
+            rounds += 1
             continue
-        a = f.atom
-        shifts.add(a.lhs.shift)
-        shifts.add(a.rhs.shift)
-        sides = []
-        for t in (a.lhs, a.rhs):
-            if t.is_zero:
-                sides.append(("known", t.shift))
-            elif t.index > depth:
-                sides.append(("known", t.shift + env[t.index - depth - 1]))
-            else:
-                # The quantified variable itself or one bound further in;
-                # either way its value is not fixed by env.
-                sides.append(("open", t.shift))
-        (lk, lv), (rk, rv) = sides
-        if lk == "known" and rk == "known":
-            continue
-        if lk == "known" or rk == "known":
-            known = lv if lk == "known" else rv
-            open_shift = rv if lk == "known" else lv
-            point = known - open_shift
-            if point >= 0:
-                points.add(point)
-            continue
-        # Two open sides: skip self-relations, record the offset and the
-        # below-threshold values of the side that must reach the other.
-        lt, rt = a.lhs, a.rhs
-        if lt.is_var and rt.is_var and lt.index == rt.index:
-            continue
-        gap = abs(lv - rv)
-        offsets.add(gap)
-        points.update(range(gap + 1))
-    for _ in range(rounds):
-        grown = set(points)
-        for point in points:
-            for off in offsets:
-                grown.add(point + off)
-                if point - off >= 0:
-                    grown.add(point - off)
-        if grown == points:
-            break
-        points = grown
-    fresh = 1 + max(points | set(env) | shifts)
-    return points | {fresh}
+        depth -= base
+        lhs, rhs = a.lhs, a.rhs
+        top = max(top, lhs.shift, rhs.shift)
+        # An open side is the quantified variable itself or one bound
+        # further in; either way its value is not fixed by env.
+        lopen = lhs.index is not None and lhs.index <= depth
+        ropen = rhs.index is not None and rhs.index <= depth
+        if lopen and ropen:
+            # Skip self-relations, record the offset and the below-threshold
+            # values of the side that must reach the other.
+            if lhs.index != rhs.index:
+                gap = abs(lhs.shift - rhs.shift)
+                offsets.add(gap)
+                points.update(range(gap + 1))
+        elif lopen or ropen:
+            known, other = (rhs, lhs) if lopen else (lhs, rhs)
+            offset = known.shift - other.shift
+            if known.index is not None:
+                solved.add((known.index - depth - 1, offset))
+            elif offset >= 0:
+                points.add(offset)
+    rounds = rounds if offsets else 0
+
+    def values(env: Environment) -> set[int]:
+        found = set(points)
+        for position, offset in solved:
+            if (point := env[position] + offset) >= 0:
+                found.add(point)
+        for _ in range(rounds):
+            grown = set(found)
+            for point in found:
+                for off in offsets:
+                    grown.add(point + off)
+                    if point - off >= 0:
+                        grown.add(point - off)
+            if grown == found:
+                break
+            found = grown
+        found.add(1 + max((top, *found, *env)))
+        return found
+
+    return values
 
 
 def _default_samples(body: Formula, env: Environment) -> list[int]:
@@ -427,13 +460,18 @@ def oracle_decide(phi: Formula, env: Sequence[int]) -> bool:
     """Decide a formula by enumerating candidate values at each quantifier.
 
     Independent of the elimination pipeline: no DNF, no substitution, just
-    structural recursion with finite candidate sets.
+    finite candidate sets, tried in ascending order until one decides.  A
+    call reads each node outside every binder once; it compiles each binder
+    it reaches into closures once, and analyses the binder's body once on
+    the way, so an environment the enumeration visits only adds its own
+    points to the binder's candidates.
     """
     env = check_env(phi, env)
     return _oracle(phi, env)
 
 
 def _oracle(phi: Formula, env: Environment) -> bool:
+    # A node outside every binder is visited once: read it where it stands.
     if isinstance(phi, Atom):
         return atom_eval(phi.atom, env)
     if isinstance(phi, Falsum):
@@ -444,13 +482,45 @@ def _oracle(phi: Formula, env: Environment) -> bool:
         return _oracle(phi.lhs, env) and _oracle(phi.rhs, env)
     if isinstance(phi, Implies):
         return (not _oracle(phi.lhs, env)) or _oracle(phi.rhs, env)
-    if isinstance(phi, Exists):
-        values = sorted(candidates(phi.body, env))
-        return any(_oracle(phi.body, extend(env, v)) for v in values)
-    if isinstance(phi, Forall):
-        values = sorted(candidates(phi.body, env))
-        return all(_oracle(phi.body, extend(env, v)) for v in values)
+    return _compile(phi, 0, [])(env)
+
+
+def _compile(phi: Formula, depth: int, marks: list) -> Callable[[Environment], bool]:
+    """phi's truth as a function of the environment; phi sits depth binders in.
+
+    Appends the marks of phi (see ``_analyse``) to marks.
+    """
+    if isinstance(phi, Atom):
+        marks.append((phi.atom, depth))
+        return _compile_atom(phi.atom)
+    if isinstance(phi, Falsum):
+        return lambda env: False
+    if isinstance(phi, (Or, And, Implies)):
+        lhs = _compile(phi.lhs, depth, marks)
+        rhs = _compile(phi.rhs, depth, marks)
+        if isinstance(phi, Or):
+            return lambda env: lhs(env) or rhs(env)
+        if isinstance(phi, And):
+            return lambda env: lhs(env) and rhs(env)
+        return lambda env: not lhs(env) or rhs(env)
+    if isinstance(phi, (Exists, Forall)):
+        marks.append((None, depth))
+        start = len(marks)
+        body = _compile(phi.body, depth + 1, marks)
+        values = _analyse(marks[start:], depth + 1)
+        quantifier = any if isinstance(phi, Exists) else all
+        return lambda env: quantifier(body((v,) + env) for v in sorted(values(env)))
     raise TypeError(f"not a Formula: {phi!r}")
+
+
+def _compile_atom(a: SNAtom) -> Callable[[Environment], bool]:
+    # S^s(u) = S^t(v) holds when u = v + gap, with gap = t - s and zero for None.
+    i, j, gap = a.lhs.index, a.rhs.index, a.rhs.shift - a.lhs.shift
+    if i is None:
+        return (lambda env: gap == 0) if j is None else (lambda env: -gap == env[j])
+    if j is None:
+        return lambda env: env[i] == gap
+    return lambda env: env[i] == env[j] + gap
 
 
 def naive_decide(phi: Formula, env: Sequence[int] = ()) -> bool:
@@ -493,14 +563,16 @@ class SuccessorStep:
 
     Satisfies the engine's step interface: ``eliminate_product``,
     ``prod_witness``, ``literal_truth``, plus the optional
-    ``canonical_atom`` hook used for literal deduplication.
+    ``canonical_atom`` hook used for literal deduplication.  As the
+    interface promises, the products it receives are already simplified
+    with these hooks, so it skips step 1 of the module docstring.
     """
 
     def eliminate_product(self, p: Product) -> Formula:
-        return eliminate_product(p)
+        return _eliminate(p, p.literals)
 
     def prod_witness(self, p: Product, env: Sequence[int]) -> int:
-        return prod_witness(p, env)
+        return _witness(p, env, p.literals)
 
     def literal_truth(self, lit: Literal) -> Truth:
         return literal_truth(lit)

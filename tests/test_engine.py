@@ -88,6 +88,25 @@ def test_eliminate_dnf_singleton_and_pair():
     )
 
 
+def test_eliminate_dnf_simplifies_what_it_is_given():
+    x_is_x = Literal.pos(SNAtom(var_term(0), var_term(0)))
+    sx_is_3 = Literal.pos(SNAtom(var_term(0, 1), zero_term(3)))
+    zero_is_1 = Literal.pos(SNAtom(zero_term(0), zero_term(1)))
+    y_ne_4 = Literal.neg(SNAtom(var_term(1), zero_term(4)))
+    sy_ne_5 = Literal.neg(SNAtom(var_term(1, 1), zero_term(5)))  # y != 4 again
+    x_is_y = Literal.pos(SNAtom(var_term(0), var_term(1)))
+    # A literal the step decides, ahead of the pivot: true.
+    assert eliminate_dnf(STEP, Dnf((Product((x_is_x, sx_is_3), 1),), 1)) == mk_true(0)
+    # A duplicate under another shift: y != 4 once.
+    dup = Product((y_ne_4, x_is_y, sy_ne_5), 2)
+    assert eliminate_dnf(STEP, Dnf((dup,), 2)) == mk_not(x_eq(4))
+    # A false literal: its product contributes Falsum.
+    false = Product((sx_is_3, zero_is_1), 1)
+    assert eliminate_dnf(STEP, Dnf((false, Product((sx_is_3,), 1)), 1)) == Or(
+        Falsum(0), mk_true(0)
+    )
+
+
 # --- lift_qe ------------------------------------------------------------------------
 
 

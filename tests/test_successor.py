@@ -41,8 +41,11 @@ from qelim import (
     var_term,
     zero_term,
 )
+from qelim import successor, to_dnf
+from qelim.dnf import simplify_literals
+from qelim.formula import Environment, Formula, Implies, subformulas
 from qelim.successor import atom_count, literal_truth, max_shift, quantifier_count
-from randgen import random_env, random_product
+from randgen import random_env, random_formula, random_literal, random_product
 from samples import sample0, sample1
 
 
@@ -315,6 +318,108 @@ def test_eliminate_product_matches_oracle():
         assert eval_qfree(result, env) == expected, f"{p!r} at {env!r}"
 
 
+def _mentions0(a: SNAtom) -> bool:
+    return (a.lhs.is_var and a.lhs.index == 0) or (a.rhs.is_var and a.rhs.index == 0)
+
+
+def _strengthen_reference(lit: Literal) -> Literal:
+    def term(t: SNTerm) -> SNTerm:
+        return SNTerm(t.index - 1, t.shift) if t.is_var else t
+
+    return Literal(lit.positive, SNAtom(term(lit.atom.lhs), term(lit.atom.rhs)))
+
+
+def _eliminate_reference(p: Product):
+    """Elimination as simplify, substitute, simplify again by recursion, lower."""
+    n = p.arity - 1
+    lits = simplify_literals(p.literals, literal_truth, canonicalize)
+    if lits is None:
+        return Falsum(n)
+    pivot = next((l for l in lits if l.positive and _mentions0(l.atom)), None)
+    if pivot is not None:
+        canon = canonicalize(pivot.atom)
+        if canon.rhs.is_zero and canon.lhs.shift > canon.rhs.shift:
+            return Falsum(n)
+        remaining, side = subst_pivot(Product(lits, p.arity), pivot)
+        return _eliminate_reference(Product(remaining.literals + side, p.arity))
+    kept = tuple(l for l in lits if not _mentions0(l.atom))
+    return interpret_product(Product(tuple(_strengthen_reference(l) for l in kept), n))
+
+
+def _product_with_every_kind(rng: Random, arity: int) -> Product:
+    """A random product, plus duplicates, decided literals and steep pivots."""
+    lits = list(random_product(rng, arity, max_shift=4, max_literals=5).literals)
+    y = rng.randrange(1, arity) if arity > 1 else None
+    extras = [
+        Literal.pos(SNAtom(var_term(0, 1), var_term(0, 1))),  # x + 1 = x + 1
+        Literal.pos(SNAtom(zero_term(0), zero_term(1))),  # 0 = 1
+        Literal.neg(SNAtom(var_term(0, 2), var_term(0))),  # x + 2 != x
+        Literal.pos(SNAtom(var_term(0, rng.randint(1, 3)), zero_term(0))),  # no solution
+        random_literal(rng, arity, 4),
+    ]
+    if y is not None:  # a > b: side conditions
+        extras.append(Literal.pos(SNAtom(var_term(0, rng.randint(2, 4)), var_term(y, 1))))
+    for _ in range(rng.randint(0, 3)):
+        lits.insert(rng.randint(0, len(lits)), rng.choice(extras))
+    if lits and rng.random() < 0.5:  # a duplicate, maybe shifted by one on both sides
+        lit = rng.choice(lits)
+        k = rng.randint(0, 1)
+        twin = Literal(lit.positive, SNAtom(lit.atom.lhs.shifted(k), lit.atom.rhs.shifted(k)))
+        lits.insert(rng.randint(0, len(lits)), twin)
+    return Product(tuple(lits), arity)
+
+
+def test_eliminate_product_matches_its_reference():
+    rng = Random(36)
+    kinds = dict.fromkeys(("duplicate", "decided", "false", "side", "steep", "none"), 0)
+    for _ in range(3000):
+        arity = rng.randint(1, 3)
+        p = _product_with_every_kind(rng, arity)
+        expected = repr(_eliminate_reference(p))
+        assert repr(eliminate_product(p)) == expected, repr(p)
+        lits = simplify_literals(p.literals, literal_truth, canonicalize)
+        verdicts = [literal_truth(l) for l in p.literals]
+        kinds["decided"] += any(v is not Truth.UNKNOWN for v in verdicts)
+        if lits is None:
+            kinds["false"] += 1
+            continue
+        kinds["duplicate"] += len(lits) < sum(v is Truth.UNKNOWN for v in verdicts)
+        assert repr(STEP.eliminate_product(Product(lits, arity))) == expected, repr(p)
+        pivot = next((l for l in lits if l.positive and _mentions0(l.atom)), None)
+        if pivot is None:
+            kinds["none"] += 1
+        elif canonicalize(pivot.atom).lhs.shift > canonicalize(pivot.atom).rhs.shift:
+            kinds["steep" if canonicalize(pivot.atom).rhs.is_zero else "side"] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_the_step_trusts_simplified_products(monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return counted
+
+    # x != 3 & x != y & y != 4: index 0 only in negative literals.
+    x_ne_3, x_ne_y, y_ne_4 = (
+        mk_not(Atom(SNAtom(lhs, rhs), 2))
+        for lhs, rhs in [(var_term(0), zero_term(3)), (var_term(0), var_term(1)), (var_term(1), zero_term(4))]
+    )
+    body = And(x_ne_3, And(x_ne_y, y_ne_4))
+    (p,) = to_dnf(body, literal_truth=literal_truth, canonical_atom=canonicalize).products
+    assert not any(l.positive and _mentions0(l.atom) for l in p.literals)
+    monkeypatch.setattr(successor, "literal_truth", spy("literal_truth", literal_truth))
+    monkeypatch.setattr(successor, "simplify_literals", spy("simplify", simplify_literals))
+    assert STEP.eliminate_product(p) == mk_not(Atom(SNAtom(var_term(0), zero_term(4)), 1))
+    assert STEP.prod_witness(p, (1,)) == 0
+    assert calls == []
+    assert eliminate_product(p) == STEP.eliminate_product(p)
+    assert calls.count("simplify") == 1
+
+
 # --- witnesses -------------------------------------------------------------------------
 
 
@@ -431,6 +536,110 @@ def test_oracle_matches_naive_enumeration():
     for _ in range(300):
         phi = random_formula(rng, 0, rng.randint(1, 4), 2, max_shift=4)
         assert oracle_decide(phi, ()) == naive_decide(phi), repr(phi)
+
+
+def _candidates_reference(body: Formula, env: Environment) -> set[int]:
+    """Candidate values read from body under one environment, in one walk."""
+    points: set[int] = set()
+    offsets: set[int] = set()
+    shifts = {0}
+    rounds = 0
+    for f, depth in subformulas(body):
+        if not isinstance(f, Atom):
+            rounds += isinstance(f, (Exists, Forall))
+            continue
+        a = f.atom
+        shifts.add(a.lhs.shift)
+        shifts.add(a.rhs.shift)
+        sides = []
+        for t in (a.lhs, a.rhs):
+            if t.is_zero:
+                sides.append(("known", t.shift))
+            elif t.index > depth:
+                sides.append(("known", t.shift + env[t.index - depth - 1]))
+            else:
+                sides.append(("open", t.shift))
+        (lk, lv), (rk, rv) = sides
+        if lk == "known" and rk == "known":
+            continue
+        if lk == "known" or rk == "known":
+            known = lv if lk == "known" else rv
+            open_shift = rv if lk == "known" else lv
+            point = known - open_shift
+            if point >= 0:
+                points.add(point)
+            continue
+        lt, rt = a.lhs, a.rhs
+        if lt.is_var and rt.is_var and lt.index == rt.index:
+            continue
+        gap = abs(lv - rv)
+        offsets.add(gap)
+        points.update(range(gap + 1))
+    for _ in range(rounds):
+        grown = set(points)
+        for point in points:
+            for off in offsets:
+                grown.add(point + off)
+                if point - off >= 0:
+                    grown.add(point - off)
+        if grown == points:
+            break
+        points = grown
+    fresh = 1 + max(points | set(env) | shifts)
+    return points | {fresh}
+
+
+def _oracle_reference(phi: Formula, env: Environment, visits: list) -> bool:
+    """Structural recursion; each binder visit appends (body, env, candidates)."""
+    if isinstance(phi, Atom):
+        return atom_eval(phi.atom, env)
+    if isinstance(phi, Falsum):
+        return False
+    if isinstance(phi, Or):
+        return _oracle_reference(phi.lhs, env, visits) or _oracle_reference(phi.rhs, env, visits)
+    if isinstance(phi, And):
+        return _oracle_reference(phi.lhs, env, visits) and _oracle_reference(phi.rhs, env, visits)
+    if isinstance(phi, Implies):
+        return (not _oracle_reference(phi.lhs, env, visits)) or _oracle_reference(
+            phi.rhs, env, visits
+        )
+    values = sorted(_candidates_reference(phi.body, env))
+    visits.append((phi.body, env, values))
+    quantifier = any if isinstance(phi, Exists) else all
+    return quantifier(_oracle_reference(phi.body, (v,) + env, visits) for v in values)
+
+
+def test_oracle_and_candidates_match_their_references(monkeypatch):
+    # The oracle's own candidate sets, in the order it enumerates them.
+    enumerated = []
+
+    def recording(marks, base):
+        values = analyse(marks, base)
+
+        def record(env):
+            found = values(env)
+            enumerated.append(sorted(found))
+            return found
+
+        return record
+
+    analyse = successor._analyse
+    monkeypatch.setattr(successor, "_analyse", recording)
+    rng = Random(37)
+    nested = 0
+    for _ in range(2000):
+        arity = rng.randint(0, 2)
+        phi = random_formula(rng, arity, rng.randint(2, 6), rng.randint(1, 3), max_shift=5)
+        env = random_env(rng, arity)
+        visits = []
+        expected = _oracle_reference(phi, env, visits)
+        for body, at, values in visits:
+            assert sorted(candidates(body, at)) == values, repr(body)
+        nested += any(len(at) > arity for _, at, _ in visits)
+        enumerated.clear()
+        assert oracle_decide(phi, env) == expected, repr(phi)
+        assert enumerated == [values for _, _, values in visits], repr(phi)
+    assert nested >= 200
 
 
 def test_size_helpers():
