@@ -196,22 +196,19 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _split_parse(text: str):
     """Parse a formula with exactly one free variable, discovering its name."""
-    names: list[str] = []
-    while True:
-        try:
-            parser = SurfaceParser(text, names)
-            phi = parser.parse()
-        except UnboundNameError as exc:
-            if len(names) >= 1:
-                raise UsageError(
-                    "split needs a formula with exactly one free variable; "
-                    f"found {names[0]!r} and {exc.name!r}"
-                )
-            names.append(exc.name)
-            continue
-        if not names or names[0] not in parser.used_free_names:
-            raise UsageError("split needs a formula with exactly one free variable")
-        return phi, names[0]
+    try:
+        SurfaceParser(text, ()).parse()
+    except UnboundNameError as exc:
+        name = exc.name
+    else:
+        raise UsageError("split needs a formula with exactly one free variable")
+    try:
+        return SurfaceParser(text, (name,)).parse(), name
+    except UnboundNameError as exc:
+        raise UsageError(
+            "split needs a formula with exactly one free variable; "
+            f"found {name!r} and {exc.name!r}"
+        )
 
 
 def _cmd_split(args: argparse.Namespace) -> int:

@@ -166,7 +166,9 @@ def _dnf(
         if isinstance(phi, And) != positive:
             return _union(lhs, rhs, max_products)
         return _cross(lhs, rhs, max_products)
-    raise NotQuantifierFree(f"to_dnf on quantified formula: {phi!r}")
+    raise NotQuantifierFree(
+        f"to_dnf on quantified formula: {type(phi).__name__} of arity {phi.arity}"
+    )
 
 
 def _union(a: list[_Lits], b: list[_Lits], max_products: int | None) -> list[_Lits]:

@@ -199,7 +199,9 @@ def _eval(phi: Formula, env: Environment) -> bool:
             todo.append((f.rhs, False))
             todo.append((f.lhs, False))
         elif isinstance(f, (Exists, Forall)):
-            raise NotQuantifierFree(f"eval_qfree on quantified formula: {f!r}")
+            raise NotQuantifierFree(
+                f"eval_qfree on quantified formula: {type(f).__name__} of arity {f.arity}"
+            )
         else:
             raise TypeError(f"not a Formula: {f!r}")
     return done[0]

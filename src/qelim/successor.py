@@ -17,8 +17,9 @@ variable (index 0) is being removed:
    zero; with t zero and a > b it has no solution, and gives Falsum;
 3. else solve it for index 0 (with side conditions ``t != 0, ...,
    t != d-1`` when the solution is ``t - d``) and make one walk over the
-   other literals and the side conditions: substitute into atoms read one
-   arity down, drop true literals, give Falsum at a false one, dedupe;
+   other literals and the side conditions: substitute the solution, which
+   also reads every atom one arity down, drop true literals, give Falsum at
+   a false one, dedupe;
 4. without a pivot, index 0 occurs only in negative literals, each of
    which excludes at most one value; since the naturals are infinite, drop
    them and read the rest one arity down.
@@ -80,9 +81,6 @@ class SNTerm:
     @property
     def is_zero(self) -> bool:
         return self.index is None
-
-    def shifted(self, extra: int) -> "SNTerm":
-        return SNTerm(self.index, self.shift + extra)
 
 
 def var_term(index: int, shift: int = 0) -> SNTerm:
@@ -170,58 +168,33 @@ def _mentions_var0(a: SNAtom) -> bool:
     return a.lhs.index == 0 or a.rhs.index == 0
 
 
-def subst_pivot(p: Product, pivot: Literal) -> tuple[Product, tuple[Literal, ...]]:
-    """Substitute the pivot's solution for index 0 through a product.
-
-    The pivot must be a positive literal that canonicalizes to
-    ``S^a(Var 0) = S^b(t)`` with t distinct from index 0: another variable
-    or the constant zero, so one substitution serves both kinds of pivot.
-    Solving gives ``Var 0 = t + (b - a)``.  When b >= a every occurrence
-    ``S^k(Var 0)`` becomes ``S^(k + b - a)(t)``.  When a > b the solution is
-    ``t - d`` with ``d = a - b``; occurrences become ``S^k(t)`` while the
-    opposite side of the same literal gains d (sound because x + k = s + m
-    is equivalent to t + k = s + m + d when x = t - d), and the side
-    conditions ``t != 0, ..., t != d - 1`` record that t must reach d (for
-    t = 0 they include the false ``0 != 0``).
-
-    The first literal of p matching the pivot is consumed; the rest are
-    substituted and returned together with the side conditions.
-    """
-    canon = canonicalize(pivot.atom)
-    sub, side = _solution(pivot, canon, 0)
-    consumed = False
-    remaining: list[Literal] = []
-    for lit in p.literals:
-        if (
-            not consumed
-            and lit.positive
-            and _mentions_var0(lit.atom)
-            and canonicalize(lit.atom) == canon
-        ):
-            consumed = True
-            continue
-        remaining.append(sub(lit))
-    return Product(tuple(remaining), p.arity), side
-
-
 def _solution(
-    pivot: Literal, canon: SNAtom, lower: int
+    pivot: Literal, canon: SNAtom
 ) -> tuple[Callable[[Literal], Literal], tuple[Literal, ...]]:
-    """The per-literal substitution of ``subst_pivot``, and its side conditions.
+    """Solve the pivot for index 0: a per-literal substitution, and side conditions.
 
-    canon is the pivot's canonical atom.  Every variable index other than 0
-    also drops by lower: 0 keeps the arity, and a literal without index 0
-    comes back as itself; 1 reads the result one arity down.
+    canon is the pivot's canonical atom ``S^a(Var 0) = S^b(t)``, with t
+    another variable or the constant zero, so one substitution serves both
+    kinds of pivot.  Solving gives ``Var 0 = t + (b - a)``.  When b >= a
+    every occurrence ``S^k(Var 0)`` becomes ``S^(k + b - a)(t)``.  When
+    a > b the solution is ``t - d`` with ``d = a - b``; occurrences become
+    ``S^k(t)`` while the opposite side of the same literal gains d (sound
+    because x + k = s + m is equivalent to t + k = s + m + d when x = t - d),
+    and the side conditions ``t != 0, ..., t != d - 1`` record that t must
+    reach d (for t = 0 they include the false ``0 != 0``).
+
+    Every literal comes back read one arity down: each variable index other
+    than 0 drops by one, in the substituted literals and the side conditions.
+    ``_pivot`` gives a positive literal that mentions index 0, so index 0
+    sits on canon's left.  Only a product that was not simplified holds a
+    pivot solving index 0 against itself or a literal with index 0 on both
+    sides; either raises PivotError.
     """
-    if not (canon.lhs.is_var and canon.lhs.index == 0):
-        raise PivotError(f"pivot does not mention index 0: {pivot!r}")
-    if canon.rhs.is_var and canon.rhs.index == 0:
+    if canon.rhs.index == 0:
         raise PivotError(f"pivot solves index 0 against itself: {pivot!r}")
-    if not pivot.positive:
-        raise PivotError(f"pivot literal must be positive: {pivot!r}")
     a = canon.lhs.shift
     b = canon.rhs.shift
-    target = None if canon.rhs.is_zero else canon.rhs.index - lower
+    target = None if canon.rhs.is_zero else canon.rhs.index - 1
     lift = b - a if b >= a else 0
     drop = a - b if a > b else 0
 
@@ -233,29 +206,27 @@ def _solution(
             raise PivotError(f"literal mentions index 0 on both sides: {lit!r}")
         if lhit:
             lhs = SNTerm(target, lhs.shift + lift)
-            rhs = _moved(rhs, lower, drop)
+            rhs = _moved(rhs, drop)
         elif rhit:
             rhs = SNTerm(target, rhs.shift + lift)
-            lhs = _moved(lhs, lower, drop)
-        elif lower:
-            return _lowered(lit)
+            lhs = _moved(lhs, drop)
         else:
-            return lit
+            return _lowered(lit)
         return Literal(lit.positive, SNAtom(lhs, rhs))
 
     side = tuple(Literal.neg(SNAtom(SNTerm(target, 0), zero_term(i))) for i in range(drop))
     return sub, side
 
 
-def _moved(t: SNTerm, lower: int, extra: int) -> SNTerm:
-    """t with a variable index lowered by lower and extra successors added."""
-    return SNTerm(t.index if t.index is None else t.index - lower, t.shift + extra)
+def _moved(t: SNTerm, extra: int) -> SNTerm:
+    """t read one arity down, with extra successors added."""
+    return SNTerm(t.index if t.index is None else t.index - 1, t.shift + extra)
 
 
 def _lowered(lit: Literal) -> Literal:
     """A literal without index 0, read one arity down."""
     atom = lit.atom
-    return Literal(lit.positive, SNAtom(_moved(atom.lhs, 1, 0), _moved(atom.rhs, 1, 0)))
+    return Literal(lit.positive, SNAtom(_moved(atom.lhs, 0), _moved(atom.rhs, 0)))
 
 
 def _pivot(lits: tuple[Literal, ...]) -> Literal | None:
@@ -288,7 +259,7 @@ def _eliminate(p: Product, lits: tuple[Literal, ...] | None) -> Formula:
         return Falsum(n)
     # The one walk: substitute into lowered atoms, drop true literals, stop
     # at a false one, dedupe.  The pivot is the only literal with its key.
-    sub, side = _solution(pivot, canon, 1)
+    sub, side = _solution(pivot, canon)
     substituted = (sub(l) for l in lits if l is not pivot)
     rest = simplify_literals(chain(substituted, side), literal_truth, canonicalize)
     return Falsum(n) if rest is None else interpret_product(Product(rest, n))

@@ -112,6 +112,19 @@ def test_to_dnf_rejects_quantifiers():
         to_dnf(Exists(Atom(SNAtom(var_term(0), zero_term()), 1)))
 
 
+def test_quantified_input_is_named_not_printed():
+    # exists x. x = 0 | ... | x = 399: the error names the binder; printing
+    # its subtree would recurse past the limit before the error is raised.
+    body = Atom(SNAtom(var_term(0), zero_term(0)), 1)
+    for k in range(1, 400):
+        body = Or(body, Atom(SNAtom(var_term(0), zero_term(k)), 1))
+    phi = Exists(body)
+    with pytest.raises(NotQuantifierFree, match="Exists of arity 0"):
+        to_dnf(phi)
+    with pytest.raises(NotQuantifierFree, match="Exists of arity 0"):
+        eval_qfree(phi, ())
+
+
 def test_to_dnf_deduplicates_repeated_literals():
     phi = And(Atom(A, 1), Atom(A, 1))
     assert to_dnf(phi) == Dnf((Product((Literal.pos(A),), 1),), 1)

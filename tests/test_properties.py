@@ -1,4 +1,5 @@
-"""Hypothesis properties of the decision procedure against the oracle.
+"""Hypothesis properties: the decision procedure against the oracle, and the
+printer against the parser.
 
 Formulas draw their atoms from a small pool of ``SNAtom`` objects, so one
 object often sits at several leaves and at several binder depths, a shape
@@ -24,6 +25,8 @@ from qelim import (
     check_evidence,
     decide,
     oracle_decide,
+    parse,
+    pretty,
 )
 
 
@@ -76,3 +79,12 @@ def test_decide_agrees_with_oracle_and_evidence_checks(case):
         assert not check_evidence(No(decision.evidence), phi, env)
     else:
         assert not check_evidence(Yes(decision.refutation), phi, env)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(formulas_sharing_atoms())
+def test_parse_reads_back_what_pretty_prints(case):
+    phi, _env = case
+    # The printer names binders x0, x1, ... and skips free names: x0 is one.
+    names = ("x0", "y")[: phi.arity]
+    assert parse(pretty(phi, names), names) == phi

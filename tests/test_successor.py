@@ -1,4 +1,4 @@
-"""Successor arithmetic: atoms, pivot substitution, product elimination, oracles."""
+"""Successor arithmetic: atoms, product elimination, witnesses, oracles."""
 
 import itertools
 from random import Random
@@ -37,7 +37,6 @@ from qelim import (
     naive_decide,
     oracle_decide,
     prod_witness,
-    subst_pivot,
     var_term,
     zero_term,
 )
@@ -64,8 +63,6 @@ def test_term_validation():
     assert var_term(2, 3).is_var
     assert not var_term(2, 3).is_zero
     assert zero_term(5).is_zero
-    assert var_term(1, 2).shifted(3) == var_term(1, 5)
-    assert zero_term(2).shifted(3) == zero_term(5)
 
 
 def test_atom_eval_examples():
@@ -195,78 +192,30 @@ def test_literal_truth_sound():
             assert lit_holds(lit, arity, env) == expected
 
 
-# --- pivot substitution -------------------------------------------------------------
+# --- product elimination ---------------------------------------------------------------
 
 X5_Y3 = Literal.pos(SNAtom(var_term(0, 5), var_term(1, 3)))
 X0_Y2 = Literal.pos(SNAtom(var_term(0, 0), var_term(1, 2)))
 X1_NE_9 = Literal.neg(SNAtom(var_term(0, 1), zero_term(9)))
-Y_REACHES_2 = (
-    Literal.neg(SNAtom(var_term(1), zero_term(0))),
-    Literal.neg(SNAtom(var_term(1), zero_term(1))),
-)
 
 
-def assert_pivot_equivalence(p: Product, pivot: Literal) -> None:
-    """Check ``exists x. p`` against the substituted product, pointwise in y."""
-    remaining, side = subst_pivot(p, pivot)
+def y_ne(k: int, shift: int = 0) -> Formula:
+    """``y + shift != k`` one arity down, where y is index 0."""
+    return mk_not(Atom(SNAtom(var_term(0, shift), zero_term(k)), 1))
+
+
+Y_REACHES_2 = And(y_ne(0), y_ne(1))
+
+
+def assert_eliminates_to(p: Product, expected: Formula) -> None:
+    """Both front doors give expected, which agrees with ``exists x. p`` pointwise in y."""
+    assert eliminate_product(p) == expected
+    assert STEP.eliminate_product(p) == expected
     for y in range(16):
         exists_x = any(
             all(lit_holds(l, 2, (x, y)) for l in p.literals) for x in range(41)
         )
-        substituted = all(
-            lit_holds(l, 2, (0, y)) for l in remaining.literals + side
-        )
-        assert exists_x == substituted, f"y={y}"
-
-
-def test_subst_pivot_adds_side_conditions():
-    p = Product((X5_Y3,), 2)
-    remaining, side = subst_pivot(p, X5_Y3)
-    assert remaining == Product((), 2)
-    assert side == Y_REACHES_2
-    assert_pivot_equivalence(p, X5_Y3)
-
-
-def test_subst_pivot_raises_occurrences():
-    p = Product((X0_Y2, X1_NE_9), 2)
-    remaining, side = subst_pivot(p, X0_Y2)
-    assert remaining == Product((Literal.neg(SNAtom(var_term(1, 3), zero_term(9))),), 2)
-    assert side == ()
-    assert_pivot_equivalence(p, X0_Y2)
-
-
-def test_subst_pivot_drops_and_compensates():
-    p = Product((X5_Y3, X1_NE_9), 2)
-    remaining, side = subst_pivot(p, X5_Y3)
-    assert remaining == Product(
-        (Literal.neg(SNAtom(var_term(1, 1), zero_term(11))),), 2
-    )
-    assert side == Y_REACHES_2
-    assert_pivot_equivalence(p, X5_Y3)
-
-
-def test_subst_pivot_without_matching_member_substitutes_everything():
-    pivot = Literal.pos(SNAtom(var_term(0), zero_term(3)))
-    p = Product((Literal.neg(SNAtom(var_term(0), zero_term(5))),), 1)
-    remaining, side = subst_pivot(p, pivot)
-    assert remaining == Product((Literal.neg(SNAtom(zero_term(3), zero_term(5))),), 1)
-    assert side == ()
-
-
-def test_subst_pivot_rejects_bad_pivots():
-    p = Product((), 2)
-    with pytest.raises(PivotError):
-        subst_pivot(p, Literal.pos(SNAtom(var_term(1), zero_term(1))))
-    with pytest.raises(PivotError):
-        subst_pivot(p, Literal.pos(SNAtom(var_term(0), var_term(0, 1))))
-    with pytest.raises(PivotError):
-        subst_pivot(p, Literal.neg(SNAtom(var_term(0), zero_term(1))))
-    both_sides = Product((Literal.neg(SNAtom(var_term(0), var_term(0, 2))),), 2)
-    with pytest.raises(PivotError):
-        subst_pivot(both_sides, X0_Y2)
-
-
-# --- product elimination ---------------------------------------------------------------
+        assert eval_qfree(expected, (y,)) == exists_x, f"y={y}"
 
 
 def test_eliminate_product_empty_product():
@@ -281,6 +230,28 @@ def test_eliminate_product_worked_example():
     for y in range(11):
         expected = any(x + 5 == y + 3 for x in range(30))
         assert eval_qfree(result, (y,)) == expected == (y >= 2)
+
+
+def test_eliminate_product_adds_side_conditions():
+    assert_eliminates_to(Product((X5_Y3,), 2), Y_REACHES_2)
+
+
+def test_eliminate_product_raises_occurrences():
+    assert_eliminates_to(Product((X0_Y2, X1_NE_9), 2), y_ne(9, shift=3))
+
+
+def test_eliminate_product_drops_and_compensates():
+    assert_eliminates_to(Product((X5_Y3, X1_NE_9), 2), And(y_ne(11, shift=1), Y_REACHES_2))
+
+
+def test_step_rejects_pivots_of_unsimplified_products():
+    # x = x + 1 is false, and simplification would decide it; solved, it
+    # would eliminate to true.
+    with pytest.raises(PivotError, match="against itself"):
+        STEP.eliminate_product(Product((Literal.pos(SNAtom(var_term(0), var_term(0, 1))),), 1))
+    both_sides = Literal.neg(SNAtom(var_term(0), var_term(0, 2)))
+    with pytest.raises(PivotError, match="both sides"):
+        STEP.eliminate_product(Product((X0_Y2, both_sides), 2))
 
 
 def test_eliminate_product_negatives_only():
@@ -329,6 +300,35 @@ def _strengthen_reference(lit: Literal) -> Literal:
     return Literal(lit.positive, SNAtom(term(lit.atom.lhs), term(lit.atom.rhs)))
 
 
+def _subst_pivot_reference(p: Product, pivot: Literal) -> tuple[Product, tuple[Literal, ...]]:
+    """Same-arity pivot substitution: the pivot's solution for index 0 replaces
+    it in every literal but the first match, which is consumed; returns the
+    rest with the side conditions ``t != 0, ..., t != d-1`` of a solution t - d."""
+    canon = canonicalize(pivot.atom)
+    a, b, target = canon.lhs.shift, canon.rhs.shift, canon.rhs.index
+    lift, drop = max(b - a, 0), max(a - b, 0)
+
+    def sub(lit: Literal) -> Literal:
+        lhs, rhs = lit.atom.lhs, lit.atom.rhs
+        if lhs.is_var and lhs.index == 0:
+            lhs, rhs = SNTerm(target, lhs.shift + lift), SNTerm(rhs.index, rhs.shift + drop)
+        elif rhs.is_var and rhs.index == 0:
+            lhs, rhs = SNTerm(lhs.index, lhs.shift + drop), SNTerm(target, rhs.shift + lift)
+        else:
+            return lit
+        return Literal(lit.positive, SNAtom(lhs, rhs))
+
+    consumed = False
+    remaining: list[Literal] = []
+    for lit in p.literals:
+        if not consumed and lit.positive and canonicalize(lit.atom) == canon:
+            consumed = True
+            continue
+        remaining.append(sub(lit))
+    side = tuple(Literal.neg(SNAtom(SNTerm(target, 0), zero_term(i))) for i in range(drop))
+    return Product(tuple(remaining), p.arity), side
+
+
 def _eliminate_reference(p: Product):
     """Elimination as simplify, substitute, simplify again by recursion, lower."""
     n = p.arity - 1
@@ -340,7 +340,7 @@ def _eliminate_reference(p: Product):
         canon = canonicalize(pivot.atom)
         if canon.rhs.is_zero and canon.lhs.shift > canon.rhs.shift:
             return Falsum(n)
-        remaining, side = subst_pivot(Product(lits, p.arity), pivot)
+        remaining, side = _subst_pivot_reference(Product(lits, p.arity), pivot)
         return _eliminate_reference(Product(remaining.literals + side, p.arity))
     kept = tuple(l for l in lits if not _mentions0(l.atom))
     return interpret_product(Product(tuple(_strengthen_reference(l) for l in kept), n))
@@ -364,8 +364,9 @@ def _product_with_every_kind(rng: Random, arity: int) -> Product:
     if lits and rng.random() < 0.5:  # a duplicate, maybe shifted by one on both sides
         lit = rng.choice(lits)
         k = rng.randint(0, 1)
-        twin = Literal(lit.positive, SNAtom(lit.atom.lhs.shifted(k), lit.atom.rhs.shifted(k)))
-        lits.insert(rng.randint(0, len(lits)), twin)
+        lhs, rhs = lit.atom.lhs, lit.atom.rhs
+        twin = SNAtom(SNTerm(lhs.index, lhs.shift + k), SNTerm(rhs.index, rhs.shift + k))
+        lits.insert(rng.randint(0, len(lits)), Literal(lit.positive, twin))
     return Product(tuple(lits), arity)
 
 
