@@ -90,11 +90,7 @@ def interpret_product(p: Product) -> Formula:
     """Right-fold of And; the empty product reads as truth."""
     if not p.literals:
         return mk_true(p.arity)
-    parts = [lit.as_formula(p.arity) for lit in p.literals]
-    acc = parts[-1]
-    for part in reversed(parts[:-1]):
-        acc = And(part, acc)
-    return acc
+    return _fold_right(And, [lit.as_formula(p.arity) for lit in p.literals])
 
 
 def interpret_dnf(d: Dnf) -> Formula:
@@ -106,9 +102,14 @@ def disjoin(parts: list[Formula], arity: int) -> Formula:
     """Right-nested disjunction of parts; no parts gives Falsum at arity."""
     if not parts:
         return Falsum(arity)
+    return _fold_right(Or, parts)
+
+
+def _fold_right(node: type, parts: list[Formula]) -> Formula:
+    """``node(parts[0], node(parts[1], ...))``, right-nested; parts is not empty."""
     acc = parts[-1]
     for part in reversed(parts[:-1]):
-        acc = Or(part, acc)
+        acc = node(part, acc)
     return acc
 
 
@@ -135,7 +136,9 @@ def to_dnf(
     product.  Duplicate literals are removed, keyed on ``canonical_atom``
     when given; the first occurrence is kept.  ``max_products`` bounds every
     intermediate DNF built on the way, each of the polarity its subformula
-    is needed in; crossing it raises DnfLimitError.
+    is needed in; crossing it raises DnfLimitError.  A conjunction, in the
+    polarity built, whose left side has no products is empty: its right
+    side is not built, so neither bounded nor checked for quantifiers.
     """
     products = _dnf(phi, True, literal_truth, canonical_atom, max_products)
     return Dnf(tuple(Product(tuple(p.values()), phi.arity) for p in products), phi.arity)
@@ -157,15 +160,26 @@ def _dnf(
     if isinstance(phi, Falsum):
         return [] if positive else [{}]
     if isinstance(phi, (Or, And, Implies)):
-        # Implies(a, b) reads as Or(not a, b): only its left side flips.
-        lhs_positive = positive != isinstance(phi, Implies)
-        lhs = _dnf(phi.lhs, lhs_positive, literal_truth, canonical_atom, max_products)
-        rhs = _dnf(phi.rhs, positive, literal_truth, canonical_atom, max_products)
         # De Morgan: a negated Or/Implies is a conjunction, a negated And a
         # disjunction.  Sound because atoms are decidable.
-        if isinstance(phi, And) != positive:
-            return _union(lhs, rhs, max_products)
-        return _cross(lhs, rhs, max_products)
+        union = isinstance(phi, And) != positive
+        # The right spine of connectives that combine alike (And with And, Or
+        # with Implies) is walked in a loop, not one frame each: an
+        # elimination's disjunction nests to the right.
+        alike = And if isinstance(phi, And) else (Or, Implies)
+        lefts = []
+        while isinstance(phi, alike):
+            # Implies(a, b) reads as Or(not a, b): only its left side flips.
+            lhs_positive = positive != isinstance(phi, Implies)
+            lhs = _dnf(phi.lhs, lhs_positive, literal_truth, canonical_atom, max_products)
+            if not lhs and not union:
+                return []  # crossing with no products: the rest cannot add any
+            lefts.append(lhs)
+            phi = phi.rhs
+        acc = _dnf(phi, positive, literal_truth, canonical_atom, max_products)
+        for lhs in reversed(lefts):
+            acc = _union(lhs, acc, max_products) if union else _cross(lhs, acc, max_products)
+        return acc
     raise NotQuantifierFree(
         f"to_dnf on quantified formula: {type(phi).__name__} of arity {phi.arity}"
     )

@@ -14,12 +14,13 @@ variable (index 0) is being removed:
    the engine's products, so only the module functions do it;
 2. if a positive literal mentions index 0, canonicalize it into a pivot
    ``S^a(Var 0) = S^b(t)``, where t is another variable or the constant
-   zero; with t zero and a > b it has no solution, and gives Falsum;
-3. else solve it for index 0 (with side conditions ``t != 0, ...,
-   t != d-1`` when the solution is ``t - d``) and make one walk over the
-   other literals and the side conditions: substitute the solution, which
-   also reads every atom one arity down, drop true literals, give Falsum at
-   a false one, dedupe;
+   zero, and solve it for index 0: ``t + (b - a)``, with side conditions
+   ``t != 0, ..., t != d-1`` when that is ``t - d``.  With t zero and
+   a > b there is no solution, and the first side condition is the false
+   ``0 != 0``;
+3. make one walk over the other literals and the side conditions:
+   substitute the solution, which also reads every atom one arity down,
+   drop true literals, give Falsum at a false one, dedupe;
 4. without a pivot, index 0 occurs only in negative literals, each of
    which excludes at most one value; since the naturals are infinite, drop
    them and read the rest one arity down.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import formula
 from .dnf import Literal, Product, Truth, interpret_product, simplify_literals
@@ -170,7 +171,7 @@ def _mentions_var0(a: SNAtom) -> bool:
 
 def _solution(
     pivot: Literal, canon: SNAtom
-) -> tuple[Callable[[Literal], Literal], tuple[Literal, ...]]:
+) -> tuple[Callable[[Literal], Literal], Iterator[Literal]]:
     """Solve the pivot for index 0: a per-literal substitution, and side conditions.
 
     canon is the pivot's canonical atom ``S^a(Var 0) = S^b(t)``, with t
@@ -180,8 +181,9 @@ def _solution(
     a > b the solution is ``t - d`` with ``d = a - b``; occurrences become
     ``S^k(t)`` while the opposite side of the same literal gains d (sound
     because x + k = s + m is equivalent to t + k = s + m + d when x = t - d),
-    and the side conditions ``t != 0, ..., t != d - 1`` record that t must
-    reach d (for t = 0 they include the false ``0 != 0``).
+    and the side conditions ``t != 0, ..., t != d - 1``, built as the walk
+    reads them, record that t must reach d.  For t = 0 the first is the false
+    ``0 != 0``, so the walk gives Falsum.
 
     Every literal comes back read one arity down: each variable index other
     than 0 drops by one, in the substituted literals and the side conditions.
@@ -214,7 +216,7 @@ def _solution(
             return _lowered(lit)
         return Literal(lit.positive, SNAtom(lhs, rhs))
 
-    side = tuple(Literal.neg(SNAtom(SNTerm(target, 0), zero_term(i))) for i in range(drop))
+    side = (Literal.neg(SNAtom(SNTerm(target, 0), zero_term(i))) for i in range(drop))
     return sub, side
 
 
@@ -229,12 +231,18 @@ def _lowered(lit: Literal) -> Literal:
     return Literal(lit.positive, SNAtom(_moved(atom.lhs, 0), _moved(atom.rhs, 0)))
 
 
-def _pivot(lits: tuple[Literal, ...]) -> Literal | None:
-    """The first positive literal that mentions index 0, if any."""
+def _pivot(lits: tuple[Literal, ...]) -> tuple[Literal, SNAtom] | tuple[None, None]:
+    """The first positive literal that mentions index 0 and its canonical atom, if any."""
     for lit in lits:
         if lit.positive and _mentions_var0(lit.atom):
-            return lit
-    return None
+            return lit, canonicalize(lit.atom)
+    return None, None
+
+
+def _solved(canon: SNAtom, env: Environment) -> int:
+    """Index 0's value solving ``S^a(Var 0) = S^b(t)`` under env, one arity down; maybe < 0."""
+    t = canon.rhs
+    return t.shift - canon.lhs.shift + (0 if t.index is None else env[t.index - 1])
 
 
 def eliminate_product(p: Product) -> Formula:
@@ -249,14 +257,10 @@ def _eliminate(p: Product, lits: tuple[Literal, ...] | None) -> Formula:
     n = p.arity - 1
     if lits is None:
         return Falsum(n)
-    pivot = _pivot(lits)
+    pivot, canon = _pivot(lits)
     if pivot is None:
         kept = tuple(_lowered(l) for l in lits if not _mentions_var0(l.atom))
         return interpret_product(Product(kept, n))
-    canon = canonicalize(pivot.atom)
-    # Unsolvable constant pivot: no substitution at all.
-    if canon.rhs.is_zero and canon.lhs.shift > canon.rhs.shift:
-        return Falsum(n)
     # The one walk: substitute into lowered atoms, drop true literals, stop
     # at a false one, dedupe.  The pivot is the only literal with its key.
     sub, side = _solution(pivot, canon)
@@ -268,9 +272,9 @@ def _eliminate(p: Product, lits: tuple[Literal, ...] | None) -> Formula:
 def prod_witness(p: Product, env: Sequence[int]) -> int:
     """A value for index 0 making the product true, given that one exists.
 
-    Mirrors the pivot choice of ``eliminate_product``: with a pivot the
-    solved right side is evaluated; without one the smallest natural
-    excluded by no negative literal is returned.  Called on a product whose
+    Uses the pivot and the solve rule of ``eliminate_product``: with a
+    pivot, its solution under env; without one, the least natural that no
+    negative literal's solution excludes.  Called on a product whose
     elimination is false under env, this raises UnsatisfiableProductError.
     """
     return _witness(p, env, simplify_literals(p.literals, literal_truth, canonicalize))
@@ -285,29 +289,16 @@ def _witness(p: Product, env: Sequence[int], lits: tuple[Literal, ...] | None) -
         )
     if lits is None:
         raise UnsatisfiableProductError(f"product contains a false literal: {p!r}")
-    pivot = _pivot(lits)
+    pivot, canon = _pivot(lits)
     if pivot is not None:
-        canon = canonicalize(pivot.atom)
-        t = canon.rhs
-        w = t.shift + (env[t.index - 1] if t.is_var else 0) - canon.lhs.shift
+        w = _solved(canon, env)
         if w < 0:
             raise UnsatisfiableProductError(
                 f"pivot {pivot!r} has no natural solution under {env!r}"
             )
         return w
-    excluded: set[int] = set()
-    for lit in lits:
-        if lit.positive or not _mentions_var0(lit.atom):
-            continue
-        canon = canonicalize(lit.atom)
-        k = canon.lhs.shift
-        other = canon.rhs
-        if other.is_zero:
-            value = other.shift - k
-        else:
-            value = env[other.index - 1] + other.shift - k
-        if value >= 0:
-            excluded.add(value)
+    # Every literal left that mentions index 0 is negative, and excludes its solution.
+    excluded = {_solved(canonicalize(l.atom), env) for l in lits if _mentions_var0(l.atom)}
     w = 0
     while w in excluded:
         w += 1

@@ -6,7 +6,17 @@ import pytest
 
 import qelim.cli as cli
 import qelim.engine
-from qelim import ArityError, EngineError, ParseError, STEP, decide, parse, Yes
+from qelim import (
+    ArityError,
+    EngineError,
+    ParseError,
+    STEP,
+    Yes,
+    check_evidence,
+    decide,
+    oracle_decide,
+    parse,
+)
 from qelim.cli import main
 
 
@@ -302,6 +312,27 @@ def test_machine_sized_input_never_reads_as_no(capsys):
     assert code in (0, 3)
     if code == 3:
         assert err.startswith("internal error:")
+
+
+# Three binders over an inner elimination's right-nested disjunction: the DNF
+# of the outer bodies walks that disjunction's spine.
+THREE_BINDERS = (
+    "exists x0. exists x1. forall x2. (((2 = 3) & (u+5 = u+4)) -> ((x0+1 = x2+2) | "
+    "(u+1 = x2+1))) -> (((5 = x0+3) & (x2+4 = u)) | ((x0+2 = x1) -> (x1+6 = 2)))"
+)
+
+
+def test_three_binders_over_a_nested_disjunction_decide_in_the_library():
+    phi = parse(THREE_BINDERS, ("u",))
+    decision = decide(STEP, phi, (3,))
+    assert isinstance(decision, Yes)
+    assert oracle_decide(phi, (3,))
+    assert check_evidence(decision, phi, (3,))
+
+
+def test_three_binders_over_a_nested_disjunction_decide_in_the_cli(capsys):
+    code, out, _ = run(capsys, "decide", THREE_BINDERS, "--env", "u=3")
+    assert (code, out) == (0, "yes\n")
 
 
 def test_entry_raises_system_exit(monkeypatch, capsys):

@@ -33,7 +33,7 @@ from qelim import (
     zero_term,
 )
 import qelim
-from qelim.dnf import simplify_literals
+from qelim.dnf import disjoin, simplify_literals
 from qelim.successor import canonicalize, literal_truth
 from randgen import random_env, random_qfree
 
@@ -256,6 +256,26 @@ def test_max_products_bounds_only_the_polarity_built():
     assert len(to_dnf(phi, max_products=14).products) == 14
     with pytest.raises(DnfLimitError):
         to_dnf(phi, max_products=13)
+
+
+@pytest.mark.parametrize("negated", [False, True], ids=["union", "cross"])
+def test_long_right_nested_chain_converts(negated):
+    # An elimination's disjunction nests to the right; its right spine
+    # combines alike, so converting it takes no frame per connective.
+    n = 1200
+    chain = disjoin([Atom(SNAtom(var_term(0), zero_term(k)), 1) for k in range(n)], 1)
+    d = to_dnf(mk_not(chain) if negated else chain)
+    if negated:
+        assert [len(p.literals) for p in d.products] == [n]
+        assert d.products[0].literals[-1] == Literal.neg(SNAtom(var_term(0), zero_term(n - 1)))
+    else:
+        assert [p.literals[0].atom.rhs.shift for p in d.products] == list(range(n))
+
+
+def test_crossing_with_no_products_builds_nothing_more():
+    big = chain_of_ors(3)  # 8 products
+    assert len(to_dnf(big).products) == 8
+    assert to_dnf(And(Falsum(1), big), max_products=4) == Dnf((), 1)
 
 
 # --- literal helpers ----------------------------------------------------------------

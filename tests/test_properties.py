@@ -1,17 +1,19 @@
-"""Hypothesis properties: the decision procedure against the oracle, and the
-printer against the parser.
+"""Hypothesis properties: the decision procedure against the oracle, the
+printer against the parser, and ``to_dnf`` against evaluation and its ceiling.
 
 Formulas draw their atoms from a small pool of ``SNAtom`` objects, so one
 object often sits at several leaves and at several binder depths, a shape
 the seeded generators in ``randgen`` never build.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qelim import (
     And,
     Atom,
+    DnfLimitError,
     Exists,
     Falsum,
     Forall,
@@ -24,10 +26,15 @@ from qelim import (
     Yes,
     check_evidence,
     decide,
+    eval_qfree,
+    interpret_dnf,
     oracle_decide,
     parse,
     pretty,
+    to_dnf,
 )
+
+HOOKS = [{}, {"literal_truth": STEP.literal_truth, "canonical_atom": STEP.canonical_atom}]
 
 
 def terms(arity: int) -> st.SearchStrategy[SNTerm]:
@@ -39,10 +46,13 @@ def terms(arity: int) -> st.SearchStrategy[SNTerm]:
 
 
 @st.composite
-def formulas_sharing_atoms(draw):
-    """A formula, an environment for it, and atoms drawn from a shared pool."""
+def formulas_sharing_atoms(draw, max_binders: int = 3):
+    """A formula, an environment for it, and atoms drawn from a shared pool.
+
+    The formula holds at most max_binders binders; with 0 it is quantifier-free.
+    """
     arity = draw(st.integers(0, 2))
-    binders = draw(st.integers(0, 3))
+    binders = draw(st.integers(0, max_binders))
     top = arity + binders
     pool = draw(st.lists(st.builds(SNAtom, terms(top), terms(top)), min_size=1, max_size=6))
 
@@ -88,3 +98,25 @@ def test_parse_reads_back_what_pretty_prints(case):
     # The printer names binders x0, x1, ... and skips free names: x0 is one.
     names = ("x0", "y")[: phi.arity]
     assert parse(pretty(phi, names), names) == phi
+
+
+@pytest.mark.parametrize("hooks", HOOKS, ids=["plain", "step-hooks"])
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(formulas_sharing_atoms(max_binders=0))
+def test_to_dnf_preserves_evaluation(hooks, case):
+    phi, env = case
+    assert eval_qfree(interpret_dnf(to_dnf(phi, **hooks)), env) == eval_qfree(phi, env)
+
+
+@pytest.mark.parametrize("hooks", HOOKS, ids=["plain", "step-hooks"])
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(formulas_sharing_atoms(max_binders=0), st.data())
+def test_to_dnf_under_a_ceiling_is_exact_or_refuses(hooks, case, data):
+    phi, _env = case
+    unbounded = to_dnf(phi, **hooks)
+    ceiling = data.draw(st.integers(1, len(unbounded.products) + 1))
+    try:
+        bounded = to_dnf(phi, max_products=ceiling, **hooks)
+    except DnfLimitError:
+        return
+    assert bounded == unbounded
