@@ -48,7 +48,7 @@ from .formula import (
     Yes,
 )
 from .parser import (
-    _KEYWORDS, _TOKEN_RE, ParseError, SurfaceParser, UnboundNameError, pretty
+    _KEYWORDS, _NAME_RE, ParseError, SurfaceParser, UnboundNameError, pretty
 )
 from .successor import STEP, UnsatisfiableProductError, oracle_decide
 
@@ -66,8 +66,7 @@ def _parse_env(pairs: Sequence[str]) -> tuple[list[str], tuple[int, ...]]:
         name, sep, raw = pair.partition("=")
         if not sep:
             raise UsageError(f"--env expects name=value, got {pair!r}")
-        token = _TOKEN_RE.fullmatch(name)
-        if not token or token.lastgroup != "NAME" or name in _KEYWORDS:
+        if not _NAME_RE.fullmatch(name) or name in _KEYWORDS:
             raise UsageError(f"--env name {name!r} is not a usable variable name")
         if name in names:
             raise UsageError(f"--env name {name!r} given twice")

@@ -163,22 +163,32 @@ def _dnf(
         # De Morgan: a negated Or/Implies is a conjunction, a negated And a
         # disjunction.  Sound because atoms are decidable.
         union = isinstance(phi, And) != positive
-        # The right spine of connectives that combine alike (And with And, Or
-        # with Implies) is walked in a loop, not one frame each: an
-        # elimination's disjunction nests to the right.
+        # Spines of connectives that combine alike (And with And, Or with
+        # Implies) are walked in loops, not one frame per node: the parser
+        # nests a chain to the left, an elimination's disjunction nests to
+        # the right.  The left spine stops at an Implies, whose left side
+        # flips polarity (Implies(a, b) reads as Or(not a, b)); its nodes
+        # are then combined bottom-up, each taking the products below it as
+        # its left side, so every combination is the one recursion makes.
         alike = And if isinstance(phi, And) else (Or, Implies)
-        lefts = []
-        while isinstance(phi, alike):
-            # Implies(a, b) reads as Or(not a, b): only its left side flips.
-            lhs_positive = positive != isinstance(phi, Implies)
-            lhs = _dnf(phi.lhs, lhs_positive, literal_truth, canonical_atom, max_products)
-            if not lhs and not union:
+        spine = [phi]
+        while not isinstance(phi, Implies) and isinstance(phi.lhs, alike):
+            phi = phi.lhs
+            spine.append(phi)
+        lhs_positive = positive != isinstance(phi, Implies)
+        acc = _dnf(phi.lhs, lhs_positive, literal_truth, canonical_atom, max_products)
+        for node in reversed(spine):
+            lefts, phi = [acc], node.rhs
+            while isinstance(phi, alike) and (union or lefts[-1]):
+                lhs_positive = positive != isinstance(phi, Implies)
+                lhs = _dnf(phi.lhs, lhs_positive, literal_truth, canonical_atom, max_products)
+                lefts.append(lhs)
+                phi = phi.rhs
+            if not union and not lefts[-1]:
                 return []  # crossing with no products: the rest cannot add any
-            lefts.append(lhs)
-            phi = phi.rhs
-        acc = _dnf(phi, positive, literal_truth, canonical_atom, max_products)
-        for lhs in reversed(lefts):
-            acc = _union(lhs, acc, max_products) if union else _cross(lhs, acc, max_products)
+            acc = _dnf(phi, positive, literal_truth, canonical_atom, max_products)
+            for lhs in reversed(lefts):
+                acc = _union(lhs, acc, max_products) if union else _cross(lhs, acc, max_products)
         return acc
     raise NotQuantifierFree(
         f"to_dnf on quantified formula: {type(phi).__name__} of arity {phi.arity}"

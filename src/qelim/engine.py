@@ -6,11 +6,14 @@ out, with no prenex normal form: each quantifier is eliminated from the
 already quantifier-free result of lifting its body.  An existential becomes
 the disjunction of per-product eliminations of the body's DNF; a universal
 is the negation of the eliminated negation, which is constructively fine
-because quantifier-free formulas are decidable.
+because quantifier-free formulas are decidable.  Products are eliminated in
+order: one whose elimination is ``Falsum`` is dropped, and the first whose
+elimination is the constant true settles the binder, whose equivalent is
+then true without eliminating the rest.
 
 ``lift`` returns a ``Lifted``: the quantifier-free equivalent plus one
 table from each binder object, lifted once wherever it occurs, to the
-products it eliminated and their eliminations.  ``lem`` lifts once and
+products it kept and their eliminations.  ``lem`` lifts once and
 walks the formula itself to one term whose type is its truth: an
 ``Evidence`` if phi holds, a ``Refutation`` if not; ``decide`` wraps that
 term in ``Yes`` or ``No``.  Each binder is decided from its table entry:
@@ -117,14 +120,18 @@ class Lifted:
     ``qf`` is the quantifier-free equivalent of ``phi``.  ``binders`` maps the
     ``id`` of each binder in ``phi`` to the ``products`` of the DNF it
     eliminated (the body's for ``Exists``, its negation's for ``Forall``)
-    and their eliminations ``parts``.  Identity, not equality: hashing a
-    formula walks all of it, and a binder's eliminations depend only on it.
+    and their eliminations ``parts``, position by position.  A product
+    whose elimination is ``Falsum`` is dropped, and none after the first
+    whose elimination is the constant true is eliminated: a decision reads
+    the first part that holds, so it is the one a full table would give.
+    Identity, not equality: hashing a formula walks all of it, and a
+    binder's eliminations depend only on it.
     """
 
     step: ProdQEStep
     phi: Formula
     qf: Formula
-    binders: dict[int, tuple[tuple[Product, ...], Sequence[Formula]]]
+    binders: dict[int, tuple[Sequence[Product], Sequence[Formula]]]
 
     def decide(self, env: Sequence = ()) -> Decision:
         """Decide phi under env, with evidence or a refutation to show for it."""
@@ -160,10 +167,40 @@ def _lift(
                 canonical_atom=getattr(step, "canonical_atom", None),
                 max_products=max_products,
             ).products
-            binders[id(phi)] = (products, [step.eliminate_product(p) for p in products])
-        qf = disjoin(binders[id(phi)][1], phi.arity)
+            binders[id(phi)] = _eliminations(step, products)
+        parts = binders[id(phi)][1]
+        qf = parts[-1] if parts and _is_true(parts[-1]) else disjoin(parts, phi.arity)
         return mk_not(qf) if universal else qf
     raise TypeError(f"not a Formula: {phi!r}")
+
+
+def _eliminations(
+    step: ProdQEStep, products: Sequence[Product]
+) -> tuple[list[Product], list[Formula]]:
+    """The products whose elimination is not Falsum, and those eliminations.
+
+    Products are eliminated in order up to the first whose elimination is
+    true: later ones cannot change the disjunction, and a decision reads
+    the first part that holds.
+    """
+    kept: list[Product] = []
+    parts: list[Formula] = []
+    for p in products:
+        part = step.eliminate_product(p)
+        if isinstance(part, Falsum):
+            continue
+        kept.append(p)
+        parts.append(part)
+        if _is_true(part):
+            break
+    return kept, parts
+
+
+def _is_true(phi: Formula) -> bool:
+    """phi is the constant true, ``Implies(Falsum, Falsum)``."""
+    return (
+        isinstance(phi, Implies) and isinstance(phi.lhs, Falsum) and isinstance(phi.rhs, Falsum)
+    )
 
 
 def lift_qe(

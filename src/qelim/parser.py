@@ -19,6 +19,11 @@ are supplied in order: with binders counted innermost first, the name at
 position i of ``free_vars`` maps to de Bruijn index (binder depth + i).
 Shadowing is allowed; the innermost binder wins.
 
+The text is split into token strings by one regex pass, which the parser
+reads by index.  Whitespace separates tokens; any other character no token
+covers is a ParseError.  Positions, for error messages, are found by a
+second, positional scan only when raising.
+
 ``pretty`` is the inverse, in one pass linear in its output: bound
 variables are named x0, x1, ... in pre-order, skipping any free names,
 operands of binary connectives are always parenthesized, ``Implies(p,
@@ -62,37 +67,41 @@ class UnboundNameError(ParseError):
         self.name = name
 
 
-_KEYWORDS = {"forall": "FORALL", "exists": "EXISTS", "false": "FALSE", "true": "TRUE"}
+_KEYWORDS = frozenset({"forall", "exists", "false", "true"})
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<WS>\s+)
-    | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<NAT>\d+)
-    | (?P<ARROW>->)
-    | (?P<NEQ>!=)
-    | (?P<SYM>[=|&~().+])
-    | (?P<BAD>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = rf"{_NAME_RE.pattern}|\d+|->|!=|[=|&~().+]"
+_TOKEN_RE = re.compile(_TOKEN)
+# The positional scan: each match is whitespace, a token or a character that
+# no token covers, so it meets the tokens where ``findall`` does.
+_SCAN_RE = re.compile(rf"(?P<WS>\s+)|(?P<TOKEN>{_TOKEN})|(?P<BAD>.)", re.DOTALL)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind, value, pos = m.lastgroup, m.group(), m.start()
-        if kind == "WS":
-            continue
-        if kind == "BAD":
-            raise ParseError(f"unexpected character {value!r}", pos)
-        if kind == "NAME":
-            kind = _KEYWORDS.get(value, kind)
-        elif kind == "SYM":
-            kind = value
-        tokens.append((kind, value, pos))
-    tokens.append(("EOF", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text, then "" for its end; ParseError at a bad character."""
+    tokens = _TOKEN_RE.findall(text)
+    # findall skips what no token covers: whitespace, and any bad character.
+    if "".join(tokens) != "".join(text.split()):
+        _positions(text)  # raises at the first bad character
+    tokens.append("")
     return tokens
+
+
+def _positions(text: str) -> list[int]:
+    """Where each token of text starts, then len(text); ParseError at a bad character."""
+    positions = []
+    for m in _SCAN_RE.finditer(text):
+        if m.lastgroup == "BAD":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastgroup == "TOKEN":
+            positions.append(m.start())
+    positions.append(len(text))
+    return positions
+
+
+def _is_name(token: str) -> bool:
+    """Whether a token is a name: of the tokens, only names and keywords are identifiers."""
+    return token.isidentifier() and token not in _KEYWORDS
 
 
 # Cap on syntactic nesting (parens, negations, quantifier bodies).  The
@@ -109,43 +118,36 @@ class SurfaceParser:
         self.free_vars = list(free_vars)
         if len(set(self.free_vars)) != len(self.free_vars):
             raise ValueError(f"duplicate free variable names: {self.free_vars!r}")
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.binders: list[str] = []
         self.used_free_names: set[str] = set()
         self._depth = 0
 
+    def _error(self, message: str, at: int) -> ParseError:
+        """A ParseError at the token with index at."""
+        return ParseError(message, _positions(self.text)[at])
+
     def _nested(self, at: int, rule: Callable[[], Formula]) -> Formula:
         self._depth += 1
         if self._depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING}", at)
+            raise self._error(f"nesting deeper than {MAX_NESTING}", at)
         phi = rule()
         self._depth -= 1
         return phi
 
     def parse(self) -> Formula:
         phi = self._implies()
-        kind, value, at = self.tokens[self.pos]
-        if kind != "EOF":
-            raise ParseError(f"trailing input {value!r}", at)
+        if self.tokens[self.pos]:
+            raise self._error(f"trailing input {self.tokens[self.pos]!r}", self.pos)
         return phi
 
-    # token plumbing
-
-    def _peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def _advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
+    def _expect(self, symbol: str) -> None:
+        token = self.tokens[self.pos]
+        if token != symbol:
+            raise self._error(f"expected {symbol!r}, found {token!r}", self.pos)
         self.pos += 1
-        return tok
-
-    def _expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
 
     @property
     def _arity(self) -> int:
@@ -155,8 +157,8 @@ class SurfaceParser:
 
     def _implies(self) -> Formula:
         parts = [self._or()]
-        while self._peek()[0] == "ARROW":
-            self._advance()
+        while self.tokens[self.pos] == "->":
+            self.pos += 1
             parts.append(self._or())
         node = parts[-1]
         for part in reversed(parts[:-1]):
@@ -165,75 +167,94 @@ class SurfaceParser:
 
     def _or(self) -> Formula:
         node = self._and()
-        while self._peek()[0] == "|":
-            self._advance()
+        while self.tokens[self.pos] == "|":
+            self.pos += 1
             node = Or(node, self._and())
         return node
 
     def _and(self) -> Formula:
         node = self._unary()
-        while self._peek()[0] == "&":
-            self._advance()
+        while self.tokens[self.pos] == "&":
+            self.pos += 1
             node = And(node, self._unary())
         return node
 
     def _unary(self) -> Formula:
-        kind, _, at = self._peek()
-        if kind == "~":
-            self._advance()
+        at = self.pos
+        token = self.tokens[at]
+        if token == "~":
+            self.pos += 1
             return mk_not(self._nested(at, self._unary))
-        if kind in ("FORALL", "EXISTS"):
+        if token == "forall" or token == "exists":
             return self._quantified()
         return self._primary()
 
     def _quantified(self) -> Formula:
-        kind, _, at = self._advance()
-        _, name, _ = self._expect("NAME")
+        at = self.pos
+        keyword, name = self.tokens[at], self.tokens[at + 1]
+        if not _is_name(name):
+            raise self._error(f"expected 'NAME', found {name!r}", at + 1)
+        self.pos += 2
         self._expect(".")
         self.binders.insert(0, name)
         body = self._nested(at, self._implies)
         self.binders.pop(0)
-        return Exists(body) if kind == "EXISTS" else Forall(body)
+        return Exists(body) if keyword == "exists" else Forall(body)
 
     def _primary(self) -> Formula:
-        kind, value, at = self._peek()
-        if kind == "(":
-            self._advance()
+        at = self.pos
+        token = self.tokens[at]
+        if token == "(":
+            self.pos += 1
             phi = self._nested(at, self._implies)
             self._expect(")")
             return phi
-        if kind == "FALSE":
-            self._advance()
+        if token == "false":
+            self.pos += 1
             return Falsum(self._arity)
-        if kind == "TRUE":
-            self._advance()
+        if token == "true":
+            self.pos += 1
             return Implies(Falsum(self._arity), Falsum(self._arity))
-        if kind in ("NAME", "NAT"):
+        # A numeral, or a name: the other keywords do not reach here.
+        if token.isdecimal() or token.isidentifier():
             return self._atom()
-        raise ParseError(f"expected a formula, found {value!r}", at)
+        raise self._error(f"expected a formula, found {token!r}", at)
 
     def _atom(self) -> Formula:
         lhs = self._term()
-        kind, value, at = self._advance()
-        if kind not in ("=", "NEQ"):
-            raise ParseError(f"expected '=' or '!=', found {value!r}", at)
+        at = self.pos
+        relation = self.tokens[at]
+        if relation != "=" and relation != "!=":
+            raise self._error(f"expected '=' or '!=', found {relation!r}", at)
+        self.pos += 1
         rhs = self._term()
         node = Atom(SNAtom(lhs, rhs), self._arity)
-        return node if kind == "=" else mk_not(node)
+        return node if relation == "=" else mk_not(node)
 
     def _term(self) -> SNTerm:
-        kind, value, at = self._advance()
-        if kind == "NAT":
-            return SNTerm(None, _numeral(value, at))
-        if kind != "NAME":
-            raise ParseError(f"expected a term, found {value!r}", at)
-        index = self._resolve(value, at)
+        at = self.pos
+        token = self.tokens[at]
+        self.pos += 1
+        if token.isdecimal():
+            return SNTerm(None, self._numeral(at))
+        if not _is_name(token):
+            raise self._error(f"expected a term, found {token!r}", at)
+        index = self._resolve(token, at)
         shift = 0
-        if self._peek()[0] == "+":
-            self._advance()
-            _, nat, nat_at = self._expect("NAT")
-            shift = _numeral(nat, nat_at)
+        if self.tokens[self.pos] == "+":
+            at = self.pos + 1
+            if not self.tokens[at].isdecimal():
+                raise self._error(f"expected 'NAT', found {self.tokens[at]!r}", at)
+            shift = self._numeral(at)
+            self.pos += 2
         return SNTerm(index, shift)
+
+    def _numeral(self, at: int) -> int:
+        digits = self.tokens[at]
+        try:
+            return int(digits)
+        except ValueError:  # longer than the interpreter's int() digit limit
+            raise self._error(f"numeral of {len(digits)} digits is too long", at) from None
 
     def _resolve(self, name: str, at: int) -> int:
         for depth, bound in enumerate(self.binders):
@@ -242,14 +263,7 @@ class SurfaceParser:
         if name in self.free_vars:
             self.used_free_names.add(name)
             return len(self.binders) + self.free_vars.index(name)
-        raise UnboundNameError(name, at)
-
-
-def _numeral(digits: str, at: int) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # longer than the interpreter's int() digit limit
-        raise ParseError(f"numeral of {len(digits)} digits is too long", at) from None
+        raise UnboundNameError(name, _positions(self.text)[at])
 
 
 def parse(text: str, free_vars: Sequence[str] = ()) -> Formula:

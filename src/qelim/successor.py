@@ -240,8 +240,14 @@ def _pivot(lits: tuple[Literal, ...]) -> tuple[Literal, SNAtom] | tuple[None, No
 
 
 def _solved(canon: SNAtom, env: Environment) -> int:
-    """Index 0's value solving ``S^a(Var 0) = S^b(t)`` under env, one arity down; maybe < 0."""
+    """Index 0's value solving ``S^a(Var 0) = S^b(t)`` under env, one arity down; maybe < 0.
+
+    Only a product that was not simplified has t = Var 0; as in
+    ``_solution``, that raises PivotError.
+    """
     t = canon.rhs
+    if t.index == 0:
+        raise PivotError(f"atom mentions index 0 on both sides: {canon!r}")
     return t.shift - canon.lhs.shift + (0 if t.index is None else env[t.index - 1])
 
 

@@ -28,6 +28,7 @@ from qelim import (
     is_qfree,
     mk_not,
     mk_true,
+    parse,
     to_dnf,
     var_term,
     zero_term,
@@ -272,10 +273,25 @@ def test_long_right_nested_chain_converts(negated):
         assert [p.literals[0].atom.rhs.shift for p in d.products] == list(range(n))
 
 
+@pytest.mark.parametrize("negated", [False, True], ids=["union", "cross"])
+def test_long_left_nested_chain_converts(negated):
+    # The parser nests a chain to the left; its left spine combines alike
+    # too, so converting it takes no frame per connective either.
+    n = 3000
+    chain = parse("exists x. " + " | ".join(f"x = {k}" for k in range(n))).body
+    d = to_dnf(mk_not(chain) if negated else chain)
+    if negated:
+        assert [len(p.literals) for p in d.products] == [n]
+        assert d.products[0].literals[-1] == Literal.neg(SNAtom(var_term(0), zero_term(n - 1)))
+    else:
+        assert [p.literals[0].atom.rhs.shift for p in d.products] == list(range(n))
+
+
 def test_crossing_with_no_products_builds_nothing_more():
     big = chain_of_ors(3)  # 8 products
     assert len(to_dnf(big).products) == 8
     assert to_dnf(And(Falsum(1), big), max_products=4) == Dnf((), 1)
+    assert to_dnf(And(And(Falsum(1), big), big), max_products=4) == Dnf((), 1)
 
 
 # --- literal helpers ----------------------------------------------------------------

@@ -56,6 +56,7 @@ from qelim import (
     mk_not,
     mk_true,
     oracle_decide,
+    parse,
     var_term,
     zero_term,
 )
@@ -297,6 +298,60 @@ def test_max_products_threads_through():
         decide(STEP, blowup, max_products=100)
     with pytest.raises(DnfLimitError):
         lift_qe(STEP, blowup, max_products=100)
+
+
+# --- a binder settles at its first true elimination ------------------------------------------
+
+
+class CountingStep(SuccessorStep):
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def eliminate_product(self, p):
+        self.calls += 1
+        return super().eliminate_product(p)
+
+
+def test_a_binder_settles_at_its_first_true_elimination():
+    step = CountingStep()
+    phi = parse("exists x. " + " | ".join(f"x = {k}" for k in range(40)))
+    assert lift_qe(step, phi) == mk_true(0)
+    assert step.calls == 1
+
+
+def test_binders_keep_non_falsum_eliminations_up_to_the_first_true(monkeypatch):
+    dnfs = []
+    real = qelim.engine.to_dnf
+
+    def recording(*args, **kwargs):
+        d = real(*args, **kwargs)
+        dnfs.append(d.products)
+        return d
+
+    monkeypatch.setattr(qelim.engine, "to_dnf", recording)
+    rng = Random(54)
+    dropped = settled = 0
+    for _ in range(500):
+        arity = rng.randint(0, 2)
+        phi = random_formula(rng, arity, rng.randint(1, 5), 3)
+        dnfs.clear()
+        lifted = lift(STEP, phi)
+        # The table fills in the order the binders' DNFs are built.
+        assert len(dnfs) == len(lifted.binders), repr(phi)
+        for products, (kept, parts) in zip(dnfs, lifted.binders.values()):
+            expected = []
+            for p in products:
+                part = STEP.eliminate_product(p)
+                if part == mk_true(part.arity):
+                    expected.append((p, part))
+                    break
+                if not isinstance(part, Falsum):
+                    expected.append((p, part))
+            assert list(zip(kept, parts)) == expected, repr(phi)
+            assert len(kept) == len(parts)
+            dropped += len(products) > len(kept)
+            settled += bool(parts) and parts[-1] == mk_true(parts[-1].arity)
+    assert dropped > 40 and settled > 150
 
 
 # --- one lift per decision -------------------------------------------------------------------

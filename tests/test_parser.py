@@ -1,5 +1,6 @@
 """Named-variable surface syntax: parsing, precedence, pretty-printing, roundtrips."""
 
+import re
 from random import Random
 
 import pytest
@@ -23,6 +24,7 @@ from qelim import (
     var_term,
     zero_term,
 )
+from qelim.parser import _SCAN_RE, _tokenize
 from randgen import random_formula
 from samples import sample0, sample1, sample2_body
 
@@ -115,6 +117,37 @@ def test_parse_error_carries_position():
             parse(text, ["x"])
         assert info.value.position == position
         assert str(info.value) == f"{message} (at position {position})"
+
+
+def test_tokens_and_error_positions_match_the_positional_scan():
+    # Texts of keywords, names, numerals and symbols over mixed whitespace,
+    # Unicode whitespace too; run together where no space falls between.
+    rng = Random(53)
+    pieces = ["forall", "exists", "false", "true", "->", "!=", "=", "|", "&", "~", "(",
+              ")", ".", "+", "x", "y1", "_z", "0", "42", "x+3", "٣"]
+    spaces = ["", " ", "  ", "\t", "\n", "\r\n", "\xa0", "\u2003", "\x1c"]
+    named = re.compile(r"(?:found|input|name) '(.*)'")
+    for _ in range(500):
+        parts = [rng.choice(spaces) + rng.choice(pieces) for _ in range(rng.randint(1, 12))]
+        text = "".join(parts) + rng.choice(spaces)
+        scanned = [m for m in _SCAN_RE.finditer(text) if m.lastgroup == "TOKEN"]
+        assert _tokenize(text) == [m.group() for m in scanned] + [""]
+        # A grammar error sits at the token it names, or at the end.
+        try:
+            parse(text, ["x"])
+        except ParseError as exc:
+            token = named.search(str(exc)).group(1)
+            assert exc.position in [m.start() for m in scanned] + [len(text)]
+            assert text[exc.position:].startswith(token)
+            assert bool(token) == (exc.position < len(text))
+        # One character no token covers, put between two pieces, is reported
+        # where it stands.
+        at = len("".join(parts[: rng.randint(0, len(parts))]))
+        bad = rng.choice("#$@^é\x00ß")
+        with pytest.raises(ParseError) as info:
+            parse(text[:at] + bad + text[at:], ["x"])
+        assert info.value.position == at
+        assert str(info.value) == f"unexpected character {bad!r} (at position {at})"
 
 
 def test_unbound_name_error():

@@ -252,6 +252,10 @@ def test_step_rejects_pivots_of_unsimplified_products():
     both_sides = Literal.neg(SNAtom(var_term(0), var_term(0, 2)))
     with pytest.raises(PivotError, match="both sides"):
         STEP.eliminate_product(Product((X0_Y2, both_sides), 2))
+    # The witness solves the same literals, and rejects them the same way.
+    for lit in (both_sides, both_sides.negate()):
+        with pytest.raises(PivotError, match="both sides"):
+            STEP.prod_witness(Product((lit,), 1), ())
 
 
 def test_eliminate_product_negatives_only():
