@@ -128,7 +128,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     phi = _parse_formula(args.formula, names)
     lifted = lift(STEP, phi, max_products=args.dnf_limit)
     decision = lifted.decide(values)
-    payload: dict = {"qf_equivalent": pretty(lifted.qf, names)}
+    payload: dict = {"qf_equivalent": pretty(lifted.qf, names)} if args.json else {}
     lines: list[str] = []
     if isinstance(decision, Yes):
         payload["result"] = "yes"

@@ -9,7 +9,8 @@ is the negation of the eliminated negation, which is constructively fine
 because quantifier-free formulas are decidable.  Products are eliminated in
 order: one whose elimination is ``Falsum`` is dropped, and the first whose
 elimination is the constant true settles the binder, whose equivalent is
-then true without eliminating the rest.
+then true without eliminating the rest.  ``eliminate_dnf`` applies the same
+rule to a DNF given whole.
 
 ``lift`` returns a ``Lifted``: the quantifier-free equivalent plus one
 table from each binder object, lifted once wherever it occurs, to the
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from .dnf import Dnf, Literal, Product, Truth, disjoin, simplify_literals, to_dnf
 from .formula import (
@@ -98,19 +99,17 @@ class ProdQEStep(Protocol):
 
 
 def eliminate_dnf(step: ProdQEStep, d: Dnf) -> Formula:
-    """Disjunction of per-product eliminations; empty DNF gives Falsum.
+    """Exists over d, eliminated by the binder rule of ``lift``; the empty DNF gives Falsum.
 
     d may be any DNF: each product is simplified with the step's hooks
-    first, and one with a false literal contributes Falsum.
+    first, and one with a false literal is skipped.
     """
     if d.arity < 1:
         raise ValueError("eliminate_dnf needs arity at least 1")
-    n, canonical_atom = d.arity - 1, getattr(step, "canonical_atom", None)
-    parts = []
-    for p in d.products:
-        lits = simplify_literals(p.literals, step.literal_truth, canonical_atom)
-        parts.append(Falsum(n) if lits is None else step.eliminate_product(Product(lits, d.arity)))
-    return disjoin(parts, n)
+    hooks = step.literal_truth, getattr(step, "canonical_atom", None)
+    simplified = (simplify_literals(p.literals, *hooks) for p in d.products)
+    products = (Product(lits, d.arity) for lits in simplified if lits is not None)
+    return _settle(_eliminations(step, products)[1], d.arity - 1)
 
 
 @dataclass(eq=False, repr=False, slots=True)
@@ -168,14 +167,13 @@ def _lift(
                 max_products=max_products,
             ).products
             binders[id(phi)] = _eliminations(step, products)
-        parts = binders[id(phi)][1]
-        qf = parts[-1] if parts and _is_true(parts[-1]) else disjoin(parts, phi.arity)
+        qf = _settle(binders[id(phi)][1], phi.arity)
         return mk_not(qf) if universal else qf
     raise TypeError(f"not a Formula: {phi!r}")
 
 
 def _eliminations(
-    step: ProdQEStep, products: Sequence[Product]
+    step: ProdQEStep, products: Iterable[Product]
 ) -> tuple[list[Product], list[Formula]]:
     """The products whose elimination is not Falsum, and those eliminations.
 
@@ -194,6 +192,11 @@ def _eliminations(
         if _is_true(part):
             break
     return kept, parts
+
+
+def _settle(parts: list[Formula], arity: int) -> Formula:
+    """The disjunction of a binder's parts from ``_eliminations``: the last when true."""
+    return parts[-1] if parts and _is_true(parts[-1]) else disjoin(parts, arity)
 
 
 def _is_true(phi: Formula) -> bool:

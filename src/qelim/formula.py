@@ -371,7 +371,9 @@ def check_evidence(
     existentials) are spot-checked at a sample of values, by default {0, 1}
     and the successor theory's ``candidates``; other theories pass ``samples``.
     A shape mismatch, or a provider raising at a sampled value, is an invalid
-    term: False, never an error.  A bad environment or failing sampler raises.
+    term: False, never an error.  A provider's ``RecursionError`` or
+    ``MemoryError`` is a crash, not a verdict, and propagates, as do a bad
+    environment and a failing sampler.
     """
     env = check_env(phi, env)
     sampler = samples if samples is not None else _default_samples
@@ -437,6 +439,8 @@ def _check(term, holds: bool, phi: Formula, env: Environment, sampler: Sampler) 
     for value in sampler(phi.body, env):
         try:
             sub = at(value)
+        except (RecursionError, MemoryError):
+            raise  # a crash is not a verdict on the term
         except Exception:
             return False
         if not _check(sub, holds, phi.body, extend(env, value), sampler):

@@ -1,10 +1,11 @@
-"""The theory of successor over the naturals: atoms, elimination, oracles.
+"""The theory of successor over the naturals: atoms, elimination, an oracle.
 
 Atoms have the shape ``S^a(u) = S^b(v)`` where u and v are either a de
 Bruijn variable or the constant zero; there is no variable-plus-variable
 addition.  This module supplies the single-variable elimination step the
 generic engine needs (``eliminate_product``), the matching witness function,
-and two independent decision oracles used to cross-check the engine.
+and an independent decision oracle, ``oracle_decide``, that cross-checks the
+engine.
 
 The elimination step works on a product of literals whose innermost
 variable (index 0) is being removed:
@@ -16,8 +17,7 @@ variable (index 0) is being removed:
    ``S^a(Var 0) = S^b(t)``, where t is another variable or the constant
    zero, and solve it for index 0: ``t + (b - a)``, with side conditions
    ``t != 0, ..., t != d-1`` when that is ``t - d``.  With t zero and
-   a > b there is no solution, and the first side condition is the false
-   ``0 != 0``;
+   a > b there is no natural solution, and the elimination is Falsum;
 3. make one walk over the other literals and the side conditions:
    substitute the solution, which also reads every atom one arity down,
    drop true literals, give Falsum at a false one, dedupe;
@@ -49,7 +49,6 @@ from .formula import (
     Implies,
     Or,
     check_env,
-    extend,
     subformulas,
 )
 
@@ -183,7 +182,7 @@ def _solution(
     because x + k = s + m is equivalent to t + k = s + m + d when x = t - d),
     and the side conditions ``t != 0, ..., t != d - 1``, built as the walk
     reads them, record that t must reach d.  For t = 0 the first is the false
-    ``0 != 0``, so the walk gives Falsum.
+    ``0 != 0``, but ``_eliminate`` gives Falsum before it solves such a pivot.
 
     Every literal comes back read one arity down: each variable index other
     than 0 drops by one, in the substituted literals and the side conditions.
@@ -267,6 +266,8 @@ def _eliminate(p: Product, lits: tuple[Literal, ...] | None) -> Formula:
     if pivot is None:
         kept = tuple(_lowered(l) for l in lits if not _mentions_var0(l.atom))
         return interpret_product(Product(kept, n))
+    if canon.rhs.is_zero and canon.lhs.shift > canon.rhs.shift:
+        return Falsum(n)  # S^a(Var 0) = S^b(0) with a > b: no natural solves it
     # The one walk: substitute into lowered atoms, drop true literals, stop
     # at a false one, dedupe.  The pivot is the only literal with its key.
     sub, side = _solution(pivot, canon)
@@ -311,20 +312,7 @@ def _witness(p: Product, env: Sequence[int], lits: tuple[Literal, ...] | None) -
     return w
 
 
-# --- oracles -----------------------------------------------------------------
-
-
-def quantifier_count(phi: Formula) -> int:
-    return sum(isinstance(f, (Exists, Forall)) for f, _ in subformulas(phi))
-
-
-def atom_count(phi: Formula) -> int:
-    return sum(isinstance(f, Atom) for f, _ in subformulas(phi))
-
-
-def max_shift(phi: Formula) -> int:
-    atoms = [f.atom for f, _ in subformulas(phi) if isinstance(f, Atom)]
-    return max((max(a.lhs.shift, a.rhs.shift) for a in atoms), default=0)
+# --- oracle ------------------------------------------------------------------
 
 
 def candidates(body: Formula, env: Sequence[int]) -> set[int]:
@@ -489,41 +477,6 @@ def _compile_atom(a: SNAtom) -> Callable[[Environment], bool]:
     if j is None:
         return lambda env: env[i] == gap
     return lambda env: env[i] == env[j] + gap
-
-
-def naive_decide(phi: Formula, env: Sequence[int] = ()) -> bool:
-    """Crudest possible oracle: enumerate every quantifier over 0..bound.
-
-    The base bound is max shift + atom count + quantifier count + 1,
-    computed once for the whole formula.  Each quantifier additionally
-    ranges past the largest ambient value, since a witness may sit a shift
-    above an enclosing variable (forall x. exists y. y = x + 2 is true, yet
-    no shared bound covers y for every enumerated x).  Meant for small
-    closed formulas as a consistency check against ``oracle_decide``.
-    """
-    env = check_env(phi, env)
-    bound = max_shift(phi) + atom_count(phi) + quantifier_count(phi) + 1
-    return _naive(phi, env, bound)
-
-
-def _naive(phi: Formula, env: Environment, bound: int) -> bool:
-    if isinstance(phi, Atom):
-        return atom_eval(phi.atom, env)
-    if isinstance(phi, Falsum):
-        return False
-    if isinstance(phi, Or):
-        return _naive(phi.lhs, env, bound) or _naive(phi.rhs, env, bound)
-    if isinstance(phi, And):
-        return _naive(phi.lhs, env, bound) and _naive(phi.rhs, env, bound)
-    if isinstance(phi, Implies):
-        return (not _naive(phi.lhs, env, bound)) or _naive(phi.rhs, env, bound)
-    if isinstance(phi, Exists):
-        top = bound + max(env, default=0)
-        return any(_naive(phi.body, extend(env, v), bound) for v in range(top + 1))
-    if isinstance(phi, Forall):
-        top = bound + max(env, default=0)
-        return all(_naive(phi.body, extend(env, v), bound) for v in range(top + 1))
-    raise TypeError(f"not a Formula: {phi!r}")
 
 
 class SuccessorStep:

@@ -22,7 +22,7 @@ from qelim import (
     SNAtom,
     SNTerm,
 )
-from qelim.successor import quantifier_count
+from naive import quantifier_count
 
 
 def random_term(rng: Random, arity: int, max_shift: int) -> SNTerm:

@@ -35,13 +35,13 @@ from qelim import (
     lem,
     lift_qe,
     mk_not,
-    naive_decide,
     oracle_decide,
     to_dnf,
     var_term,
     zero_term,
     Atom,
 )
+from naive import naive_decide
 from randgen import random_env, random_formula, random_qfree
 from samples import sample0, sample1, sample1_body, sample2_body
 

@@ -55,6 +55,18 @@ def test_decide_text_and_evidence(capsys):
     assert out == "yes\nwitnesses: 2 4\n"
 
 
+def test_decide_text_does_not_print_the_qf(monkeypatch, capsys):
+    # Only the JSON payload carries qf_equivalent, so text mode never renders it.
+    def unused(*args):
+        raise AssertionError("pretty called in text mode")
+
+    monkeypatch.setattr(cli, "pretty", unused)
+    code, out, _ = run(capsys, "decide", SAMPLE0, "--evidence")
+    assert (code, out) == (0, "yes\nwitnesses: 2 4\n")
+    code, out, _ = run(capsys, "decide", "forall x. x = 0", "--evidence")
+    assert (code, out) == (1, "no\ncounterexample: 1\n")
+
+
 def test_decide_universal_with_instantiations(capsys):
     code, out, _ = run(
         capsys, "decide", SAMPLE1, "--evidence", "--instantiate", "0", "--instantiate", "5"

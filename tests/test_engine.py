@@ -57,11 +57,12 @@ from qelim import (
     mk_true,
     oracle_decide,
     parse,
+    to_dnf,
     var_term,
     zero_term,
 )
-from qelim.successor import quantifier_count
-from randgen import random_env, random_formula
+from naive import quantifier_count
+from randgen import random_env, random_formula, random_qfree
 from samples import sample0, sample1, sample1_body, sample2_body
 
 
@@ -84,9 +85,8 @@ def test_eliminate_dnf_singleton_and_pair():
     p1 = Product((Literal.pos(SNAtom(var_term(0), zero_term(5))),), 1)
     p2 = Product((Literal.neg(SNAtom(var_term(0), zero_term(0))),), 1)
     assert eliminate_dnf(STEP, Dnf((p1,), 1)) == STEP.eliminate_product(p1)
-    assert eliminate_dnf(STEP, Dnf((p1, p2), 1)) == Or(
-        STEP.eliminate_product(p1), STEP.eliminate_product(p2)
-    )
+    # p1's elimination is true, so it settles the pair.
+    assert eliminate_dnf(STEP, Dnf((p1, p2), 1)) == mk_true(0)
 
 
 def test_eliminate_dnf_simplifies_what_it_is_given():
@@ -101,11 +101,18 @@ def test_eliminate_dnf_simplifies_what_it_is_given():
     # A duplicate under another shift: y != 4 once.
     dup = Product((y_ne_4, x_is_y, sy_ne_5), 2)
     assert eliminate_dnf(STEP, Dnf((dup,), 2)) == mk_not(x_eq(4))
-    # A false literal: its product contributes Falsum.
+    # A false literal: its product is skipped.
     false = Product((sx_is_3, zero_is_1), 1)
-    assert eliminate_dnf(STEP, Dnf((false, Product((sx_is_3,), 1)), 1)) == Or(
-        Falsum(0), mk_true(0)
-    )
+    assert eliminate_dnf(STEP, Dnf((false, Product((sx_is_3,), 1)), 1)) == mk_true(0)
+
+
+def test_eliminate_dnf_is_the_binder_rule_of_lift():
+    # A body's DNF eliminated whole gives exactly what lift gives its binder.
+    rng = Random(2021)
+    for _ in range(2000):
+        body = random_qfree(rng, rng.randint(1, 3), rng.randint(1, 4))
+        d = to_dnf(body, literal_truth=STEP.literal_truth, canonical_atom=STEP.canonical_atom)
+        assert eliminate_dnf(STEP, d) == lift_qe(STEP, Exists(body)), repr(body)
 
 
 # --- lift_qe ------------------------------------------------------------------------

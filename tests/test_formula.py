@@ -362,6 +362,19 @@ def test_universal_provider_that_raises_fails_the_check():
     assert check_evidence(No(ExistsRefuted(explode)), never, ()) is False
 
 
+def test_provider_crash_propagates_from_the_check():
+    # A provider that runs out of stack has not shown the term invalid.
+    def overflow(v: int):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    reflexive = Forall(Atom(SNAtom(var_term(0), var_term(0)), 1))
+    with pytest.raises(RecursionError):
+        check_evidence(Yes(UniversalEvidence(overflow)), reflexive, ())
+    never = Exists(Atom(SNAtom(var_term(0), var_term(0, 1)), 1))
+    with pytest.raises(RecursionError):
+        check_evidence(No(ExistsRefuted(overflow)), never, ())
+
+
 def test_failing_default_sampler_propagates(monkeypatch):
     # A sampler that fails must not narrow the spot check to {0, 1} unnoticed.
     import qelim.successor

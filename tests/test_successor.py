@@ -34,7 +34,6 @@ from qelim import (
     lift_qe,
     mk_not,
     mk_true,
-    naive_decide,
     oracle_decide,
     prod_witness,
     var_term,
@@ -43,7 +42,8 @@ from qelim import (
 from qelim import successor, to_dnf
 from qelim.dnf import simplify_literals
 from qelim.formula import Environment, Formula, Implies, subformulas
-from qelim.successor import atom_count, literal_truth, max_shift, quantifier_count
+from qelim.successor import literal_truth
+from naive import atom_count, max_shift, naive_decide, quantifier_count
 from randgen import random_env, random_formula, random_literal, random_product
 from samples import sample0, sample1
 
