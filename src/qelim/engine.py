@@ -33,6 +33,7 @@ from typing import Iterable, Protocol, Sequence
 from .dnf import Dnf, Literal, Product, Truth, disjoin, simplify_literals, to_dnf
 from .formula import (
     And,
+    ArityError,
     Atom,
     AtomFails,
     AtomHolds,
@@ -102,10 +103,11 @@ def eliminate_dnf(step: ProdQEStep, d: Dnf) -> Formula:
     """Exists over d, eliminated by the binder rule of ``lift``; the empty DNF gives Falsum.
 
     d may be any DNF: each product is simplified with the step's hooks
-    first, and one with a false literal is skipped.
+    first, and one with a false literal is skipped.  This is the door for a
+    product that is not simplified: ``eliminate_dnf(step, Dnf((p,), p.arity))``.
     """
     if d.arity < 1:
-        raise ValueError("eliminate_dnf needs arity at least 1")
+        raise ArityError("eliminate_dnf needs arity at least 1")
     hooks = step.literal_truth, getattr(step, "canonical_atom", None)
     simplified = (simplify_literals(p.literals, *hooks) for p in d.products)
     products = (Product(lits, d.arity) for lits in simplified if lits is not None)

@@ -3,25 +3,21 @@
 Atoms have the shape ``S^a(u) = S^b(v)`` where u and v are either a de
 Bruijn variable or the constant zero; there is no variable-plus-variable
 addition.  This module supplies the single-variable elimination step the
-generic engine needs (``eliminate_product``), the matching witness function,
-and an independent decision oracle, ``oracle_decide``, that cross-checks the
-engine.
+generic engine needs, ``STEP``, with its matching witness function, and an
+independent decision oracle, ``oracle_decide``, that cross-checks the engine.
 
-The elimination step works on a product of literals whose innermost
-variable (index 0) is being removed:
+The elimination step works on a simplified product of literals (no decided
+literal, no duplicate) whose innermost variable (index 0) is being removed:
 
-1. simplify: drop the trivially true literals and the duplicates, and give
-   Falsum at a trivially false one.  ``to_dnf`` has already done this to
-   the engine's products, so only the module functions do it;
-2. if a positive literal mentions index 0, canonicalize it into a pivot
+1. if a positive literal mentions index 0, canonicalize it into a pivot
    ``S^a(Var 0) = S^b(t)``, where t is another variable or the constant
    zero, and solve it for index 0: ``t + (b - a)``, with side conditions
    ``t != 0, ..., t != d-1`` when that is ``t - d``.  With t zero and
    a > b there is no natural solution, and the elimination is Falsum;
-3. make one walk over the other literals and the side conditions:
+2. make one walk over the other literals and the side conditions:
    substitute the solution, which also reads every atom one arity down,
    drop true literals, give Falsum at a false one, dedupe;
-4. without a pivot, index 0 occurs only in negative literals, each of
+3. without a pivot, index 0 occurs only in negative literals, each of
    which excludes at most one value; since the naturals are infinite, drop
    them and read the rest one arity down.
 
@@ -182,7 +178,7 @@ def _solution(
     because x + k = s + m is equivalent to t + k = s + m + d when x = t - d),
     and the side conditions ``t != 0, ..., t != d - 1``, built as the walk
     reads them, record that t must reach d.  For t = 0 the first is the false
-    ``0 != 0``, but ``_eliminate`` gives Falsum before it solves such a pivot.
+    ``0 != 0``, but ``eliminate_product`` gives Falsum before it solves such a pivot.
 
     Every literal comes back read one arity down: each variable index other
     than 0 drops by one, in the substituted literals and the side conditions.
@@ -238,6 +234,11 @@ def _pivot(lits: tuple[Literal, ...]) -> tuple[Literal, SNAtom] | tuple[None, No
     return None, None
 
 
+def _check_naturals(env: Environment) -> None:
+    if min(env, default=0) < 0:
+        raise ValueError(f"negative environment value {min(env)} in {env!r}")
+
+
 def _solved(canon: SNAtom, env: Environment) -> int:
     """Index 0's value solving ``S^a(Var 0) = S^b(t)`` under env, one arity down; maybe < 0.
 
@@ -248,68 +249,6 @@ def _solved(canon: SNAtom, env: Environment) -> int:
     if t.index == 0:
         raise PivotError(f"atom mentions index 0 on both sides: {canon!r}")
     return t.shift - canon.lhs.shift + (0 if t.index is None else env[t.index - 1])
-
-
-def eliminate_product(p: Product) -> Formula:
-    """Eliminate index 0 from a product; the result is one arity down."""
-    return _eliminate(p, simplify_literals(p.literals, literal_truth, canonicalize))
-
-
-def _eliminate(p: Product, lits: tuple[Literal, ...] | None) -> Formula:
-    """Eliminate index 0 from p, given its literals simplified; None when one is false."""
-    if p.arity < 1:
-        raise ArityError("eliminate_product needs arity at least 1")
-    n = p.arity - 1
-    if lits is None:
-        return Falsum(n)
-    pivot, canon = _pivot(lits)
-    if pivot is None:
-        kept = tuple(_lowered(l) for l in lits if not _mentions_var0(l.atom))
-        return interpret_product(Product(kept, n))
-    if canon.rhs.is_zero and canon.lhs.shift > canon.rhs.shift:
-        return Falsum(n)  # S^a(Var 0) = S^b(0) with a > b: no natural solves it
-    # The one walk: substitute into lowered atoms, drop true literals, stop
-    # at a false one, dedupe.  The pivot is the only literal with its key.
-    sub, side = _solution(pivot, canon)
-    substituted = (sub(l) for l in lits if l is not pivot)
-    rest = simplify_literals(chain(substituted, side), literal_truth, canonicalize)
-    return Falsum(n) if rest is None else interpret_product(Product(rest, n))
-
-
-def prod_witness(p: Product, env: Sequence[int]) -> int:
-    """A value for index 0 making the product true, given that one exists.
-
-    Uses the pivot and the solve rule of ``eliminate_product``: with a
-    pivot, its solution under env; without one, the least natural that no
-    negative literal's solution excludes.  Called on a product whose
-    elimination is false under env, this raises UnsatisfiableProductError.
-    """
-    return _witness(p, env, simplify_literals(p.literals, literal_truth, canonicalize))
-
-
-def _witness(p: Product, env: Sequence[int], lits: tuple[Literal, ...] | None) -> int:
-    """``prod_witness``, given p's literals simplified; None when one is false."""
-    env = tuple(env)
-    if len(env) != p.arity - 1:
-        raise ArityError(
-            f"environment length {len(env)} does not match product arity {p.arity}"
-        )
-    if lits is None:
-        raise UnsatisfiableProductError(f"product contains a false literal: {p!r}")
-    pivot, canon = _pivot(lits)
-    if pivot is not None:
-        w = _solved(canon, env)
-        if w < 0:
-            raise UnsatisfiableProductError(
-                f"pivot {pivot!r} has no natural solution under {env!r}"
-            )
-        return w
-    # Every literal left that mentions index 0 is negative, and excludes its solution.
-    excluded = {_solved(canonicalize(l.atom), env) for l in lits if _mentions_var0(l.atom)}
-    w = 0
-    while w in excluded:
-        w += 1
-    return w
 
 
 # --- oracle ------------------------------------------------------------------
@@ -423,6 +362,7 @@ def oracle_decide(phi: Formula, env: Sequence[int]) -> bool:
     points to the binder's candidates.
     """
     env = check_env(phi, env)
+    _check_naturals(env)
     return _oracle(phi, env)
 
 
@@ -486,14 +426,56 @@ class SuccessorStep:
     ``prod_witness``, ``literal_truth``, plus the optional
     ``canonical_atom`` hook used for literal deduplication.  As the
     interface promises, the products it receives are already simplified
-    with these hooks, so it skips step 1 of the module docstring.
+    with these hooks; ``eliminate_dnf`` simplifies a product that is not.
     """
 
     def eliminate_product(self, p: Product) -> Formula:
-        return _eliminate(p, p.literals)
+        """Eliminate index 0 from a simplified product; the result is one arity down."""
+        if p.arity < 1:
+            raise ArityError("eliminate_product needs arity at least 1")
+        n = p.arity - 1
+        pivot, canon = _pivot(p.literals)
+        if pivot is None:
+            kept = tuple(_lowered(l) for l in p.literals if not _mentions_var0(l.atom))
+            return interpret_product(Product(kept, n))
+        if canon.rhs.is_zero and canon.lhs.shift > canon.rhs.shift:
+            return Falsum(n)  # S^a(Var 0) = S^b(0) with a > b: no natural solves it
+        # The one walk: substitute into lowered atoms, drop true literals, stop
+        # at a false one, dedupe.  The pivot is the only literal with its key.
+        sub, side = _solution(pivot, canon)
+        substituted = (sub(l) for l in p.literals if l is not pivot)
+        rest = simplify_literals(chain(substituted, side), literal_truth, canonicalize)
+        return Falsum(n) if rest is None else interpret_product(Product(rest, n))
 
     def prod_witness(self, p: Product, env: Sequence[int]) -> int:
-        return _witness(p, env, p.literals)
+        """A value for index 0 making the simplified product true, given that one exists.
+
+        Uses the pivot and the solve rule of ``eliminate_product``: with a
+        pivot, its solution under env; without one, the least natural that no
+        negative literal's solution excludes.  Called on a product whose
+        elimination is false under env, this raises UnsatisfiableProductError.
+        """
+        env = tuple(env)
+        if len(env) != p.arity - 1:
+            raise ArityError(
+                f"environment length {len(env)} does not match product arity {p.arity}"
+            )
+        _check_naturals(env)
+        lits = p.literals
+        pivot, canon = _pivot(lits)
+        if pivot is not None:
+            w = _solved(canon, env)
+            if w < 0:
+                raise UnsatisfiableProductError(
+                    f"pivot {pivot!r} has no natural solution under {env!r}"
+                )
+            return w
+        # Every literal that mentions index 0 is negative, and excludes its solution.
+        excluded = {_solved(canonicalize(l.atom), env) for l in lits if _mentions_var0(l.atom)}
+        w = 0
+        while w in excluded:
+            w += 1
+        return w
 
     def literal_truth(self, lit: Literal) -> Truth:
         return literal_truth(lit)

@@ -9,6 +9,7 @@ from qelim import (
     And,
     ArityError,
     Atom,
+    Dnf,
     Exists,
     Falsum,
     Forall,
@@ -27,7 +28,7 @@ from qelim import (
     canonicalize,
     check_evidence,
     decide,
-    eliminate_product,
+    eliminate_dnf,
     eval_qfree,
     interpret_product,
     is_qfree,
@@ -35,11 +36,10 @@ from qelim import (
     mk_not,
     mk_true,
     oracle_decide,
-    prod_witness,
     var_term,
     zero_term,
 )
-from qelim import successor, to_dnf
+from qelim import engine, parse, successor, to_dnf
 from qelim.dnf import simplify_literals
 from qelim.formula import Environment, Formula, Implies, subformulas
 from qelim.successor import literal_truth
@@ -208,8 +208,8 @@ Y_REACHES_2 = And(y_ne(0), y_ne(1))
 
 
 def assert_eliminates_to(p: Product, expected: Formula) -> None:
-    """Both front doors give expected, which agrees with ``exists x. p`` pointwise in y."""
-    assert eliminate_product(p) == expected
+    """Both doors give expected, which agrees with ``exists x. p`` pointwise in y."""
+    assert eliminate_dnf(STEP, Dnf((p,), p.arity)) == expected
     assert STEP.eliminate_product(p) == expected
     for y in range(16):
         exists_x = any(
@@ -219,12 +219,12 @@ def assert_eliminates_to(p: Product, expected: Formula) -> None:
 
 
 def test_eliminate_product_empty_product():
-    assert eliminate_product(Product((), 1)) == mk_true(0)
-    assert eliminate_product(Product((), 3)) == mk_true(2)
+    assert STEP.eliminate_product(Product((), 1)) == mk_true(0)
+    assert STEP.eliminate_product(Product((), 3)) == mk_true(2)
 
 
 def test_eliminate_product_worked_example():
-    result = eliminate_product(Product((X5_Y3,), 2))
+    result = STEP.eliminate_product(Product((X5_Y3,), 2))
     assert is_qfree(result)
     assert result.arity == 1
     for y in range(11):
@@ -268,16 +268,18 @@ def test_eliminate_product_negatives_only():
     )
     for y in range(11):
         assert any(x != 5 and x != y for x in range(21))
-    assert eliminate_product(p) == mk_true(1)
+    assert STEP.eliminate_product(p) == mk_true(1)
 
 
 def test_eliminate_product_impossible_constant():
-    assert eliminate_product(Product((Literal.pos(SNAtom(var_term(0, 2), zero_term(1))),), 1)) == Falsum(0)
+    assert STEP.eliminate_product(Product((Literal.pos(SNAtom(var_term(0, 2), zero_term(1))),), 1)) == Falsum(0)
 
 
 def test_eliminate_product_rejects_closed_products():
     with pytest.raises(ArityError):
-        eliminate_product(Product((), 0))
+        STEP.eliminate_product(Product((), 0))
+    with pytest.raises(ArityError):
+        eliminate_dnf(STEP, Dnf((Product((), 0),), 0))
 
 
 def test_eliminate_product_matches_oracle():
@@ -285,7 +287,7 @@ def test_eliminate_product_matches_oracle():
     for _ in range(1000):
         arity = rng.randint(1, 3)
         p = random_product(rng, arity)
-        result = eliminate_product(p)
+        result = eliminate_dnf(STEP, Dnf((p,), arity))
         assert is_qfree(result)
         assert result.arity == arity - 1
         env = random_env(rng, arity - 1)
@@ -381,7 +383,7 @@ def test_eliminate_product_matches_its_reference():
         arity = rng.randint(1, 3)
         p = _product_with_every_kind(rng, arity)
         expected = repr(_eliminate_reference(p))
-        assert repr(eliminate_product(p)) == expected, repr(p)
+        assert repr(eliminate_dnf(STEP, Dnf((p,), arity))) == expected, repr(p)
         lits = simplify_literals(p.literals, literal_truth, canonicalize)
         verdicts = [literal_truth(l) for l in p.literals]
         kinds["decided"] += any(v is not Truth.UNKNOWN for v in verdicts)
@@ -418,10 +420,11 @@ def test_the_step_trusts_simplified_products(monkeypatch):
     assert not any(l.positive and _mentions0(l.atom) for l in p.literals)
     monkeypatch.setattr(successor, "literal_truth", spy("literal_truth", literal_truth))
     monkeypatch.setattr(successor, "simplify_literals", spy("simplify", simplify_literals))
+    monkeypatch.setattr(engine, "simplify_literals", spy("simplify", simplify_literals))
     assert STEP.eliminate_product(p) == mk_not(Atom(SNAtom(var_term(0), zero_term(4)), 1))
     assert STEP.prod_witness(p, (1,)) == 0
     assert calls == []
-    assert eliminate_product(p) == STEP.eliminate_product(p)
+    assert eliminate_dnf(STEP, Dnf((p,), 2)) == STEP.eliminate_product(p)
     assert calls.count("simplify") == 1
 
 
@@ -436,8 +439,8 @@ def test_prod_witness_examples():
         ),
         2,
     )
-    assert prod_witness(p, (4,)) == 2
-    assert prod_witness(Product((), 1), ()) == 0
+    assert STEP.prod_witness(p, (4,)) == 2
+    assert STEP.prod_witness(Product((), 1), ()) == 0
     exclusions = Product(
         (
             Literal.neg(SNAtom(var_term(0), zero_term(0))),
@@ -445,7 +448,7 @@ def test_prod_witness_examples():
         ),
         1,
     )
-    assert prod_witness(exclusions, ()) == 2
+    assert STEP.prod_witness(exclusions, ()) == 2
 
 
 def test_prod_witness_sound_when_elimination_holds():
@@ -455,9 +458,13 @@ def test_prod_witness_sound_when_elimination_holds():
         arity = rng.randint(1, 3)
         p = random_product(rng, arity)
         env = random_env(rng, arity - 1)
-        if not eval_qfree(eliminate_product(p), env):
+        lits = simplify_literals(p.literals, literal_truth, canonicalize)
+        if lits is None:
             continue
-        w = prod_witness(p, env)
+        simplified = Product(lits, arity)
+        if not eval_qfree(STEP.eliminate_product(simplified), env):
+            continue
+        w = STEP.prod_witness(simplified, env)
         assert eval_qfree(interpret_product(p), (w,) + env)
         checked += 1
     assert checked > 200
@@ -465,16 +472,28 @@ def test_prod_witness_sound_when_elimination_holds():
 
 def test_prod_witness_unsatisfiable():
     with pytest.raises(UnsatisfiableProductError):
-        prod_witness(Product((Literal.pos(SNAtom(var_term(0, 2), zero_term(1))),), 1), ())
+        STEP.prod_witness(Product((Literal.pos(SNAtom(var_term(0, 2), zero_term(1))),), 1), ())
     with pytest.raises(UnsatisfiableProductError):
-        prod_witness(Product((Literal.pos(SNAtom(var_term(0), var_term(0, 1))),), 1), ())
-    with pytest.raises(UnsatisfiableProductError):
-        prod_witness(Product((X5_Y3,), 2), (0,))
+        STEP.prod_witness(Product((X5_Y3,), 2), (0,))
+    # x = x + 1 is false: simplification rejects it, so no witness is asked for.
+    false = Product((Literal.pos(SNAtom(var_term(0), var_term(0, 1))),), 1)
+    assert simplify_literals(false.literals, literal_truth, canonicalize) is None
+    assert eliminate_dnf(STEP, Dnf((false,), 1)) == Falsum(0)
 
 
 def test_prod_witness_arity_error():
     with pytest.raises(ArityError):
-        prod_witness(Product((), 2), ())
+        STEP.prod_witness(Product((), 2), ())
+
+
+def test_a_negative_environment_value_is_an_input_error():
+    with pytest.raises(ValueError, match="negative environment value -1"):
+        STEP.prod_witness(Product((X5_Y3,), 2), (-1,))
+    with pytest.raises(ValueError, match="negative environment value -3"):
+        oracle_decide(Exists(Atom(SNAtom(var_term(0), var_term(1)), 2)), (-3,))
+    # Through decide, the witness of exists x. x = y at y = -1 is the one asked for.
+    with pytest.raises(ValueError, match="negative environment value -1"):
+        decide(STEP, parse("exists x. x = y", ["y"]), (-1,))
 
 
 # --- candidate sets and oracles -----------------------------------------------------------
