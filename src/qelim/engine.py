@@ -64,6 +64,7 @@ from .formula import (
     Witness,
     Yes,
     check_env,
+    check_naturals,
     eval_qfree,
     extend,
     mk_not,
@@ -277,7 +278,11 @@ def _decide_binder(
 
 
 def _body_term(lifted: Lifted, body: Formula, env: Environment, value: int, holds: bool):
-    """The body's evidence (holds) or refutation (not) at value, as lifted."""
+    """The body's evidence (holds) or refutation (not) at value, as lifted.
+
+    A provider's value is checked as an environment's is: a natural, or ValueError.
+    """
+    check_naturals((value,))
     term = _decide(lifted, body, extend(env, value))
     if isinstance(term, Evidence) != holds:
         raise EngineError(f"the body decides against its lift at {value}")

@@ -4,9 +4,10 @@ Formulas use de Bruijn indices: a variable is a natural number counting
 binders outward, so index 0 always refers to the innermost enclosing
 quantifier.  Every formula carries an ``arity``: an upper bound on its free
 indices.  A formula of arity n is evaluated under an ``Environment`` of
-exactly n values, ordered innermost first (index 0 is the most recently
-bound variable).  Example: in ``Exists(Exists(body))`` the body has arity 2
-and environment ``(y, x)`` where y belongs to the inner quantifier.
+exactly n naturals (``check_env`` rejects anything else), ordered innermost
+first (index 0 is the most recently bound variable).  Example: in
+``Exists(Exists(body))`` the body has arity 2 and environment ``(y, x)``
+where y belongs to the inner quantifier.
 
 Negation is not a constructor.  ``mk_not(p)`` builds ``Implies(p, Falsum)``,
 and ``mk_true(n)`` builds ``Implies(Falsum, Falsum)``; everything downstream
@@ -140,12 +141,27 @@ def extend(env: Environment, value: Any) -> Environment:
 
 
 def check_env(phi: Formula, env: Sequence[Any]) -> Environment:
+    """env as a tuple, of phi's arity and of naturals; ArityError or ValueError if not."""
     env = tuple(env)
     if len(env) != phi.arity:
         raise ArityError(
             f"environment length {len(env)} does not match arity {phi.arity}"
         )
+    check_naturals(env)
     return env
+
+
+def is_natural(value: Any) -> bool:
+    """A non-negative int: what an environment, a witness or a counterexample holds."""
+    return isinstance(value, int) and value >= 0
+
+
+def check_naturals(env: Environment) -> None:
+    """Raise ValueError at the first value of env that is not a natural."""
+    for value in env:
+        if not is_natural(value):
+            kind = "negative" if isinstance(value, int) else "non-natural"
+            raise ValueError(f"{kind} environment value {value!r} in {env!r}")
 
 
 def subformulas(phi: Formula) -> Iterator[tuple[Formula, int]]:
@@ -370,8 +386,9 @@ def check_evidence(
     the extended environment, and providers (universal evidence, refuted
     existentials) are spot-checked at a sample of values, by default {0, 1}
     and the successor theory's ``candidates``; other theories pass ``samples``.
-    A shape mismatch, or a provider raising at a sampled value, is an invalid
-    term: False, never an error.  A provider's ``RecursionError`` or
+    A shape mismatch, a witness or counterexample whose value is not a
+    natural, or a provider raising at a sampled value, is an invalid term:
+    False, never an error.  A provider's ``RecursionError`` or
     ``MemoryError`` is a crash, not a verdict, and propagates, as do a bad
     environment and a failing sampler.
     """
@@ -430,7 +447,8 @@ def _check(term, holds: bool, phi: Formula, env: Environment, sampler: Sampler) 
     if not isinstance(phi, (Exists, Forall)):
         raise TypeError(f"not a Formula: {phi!r}")
     if holds == isinstance(phi, Exists):  # a witness or a counterexample settles it
-        if not isinstance(term, Witness if holds else Counterexample):
+        kind = Witness if holds else Counterexample
+        if not (isinstance(term, kind) and is_natural(term.value)):
             return False
         return _check(term.sub, holds, phi.body, extend(env, term.value), sampler)
     if not isinstance(term, UniversalEvidence if holds else ExistsRefuted):

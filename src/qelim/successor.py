@@ -45,6 +45,7 @@ from .formula import (
     Implies,
     Or,
     check_env,
+    check_naturals,
     subformulas,
 )
 
@@ -234,11 +235,6 @@ def _pivot(lits: tuple[Literal, ...]) -> tuple[Literal, SNAtom] | tuple[None, No
     return None, None
 
 
-def _check_naturals(env: Environment) -> None:
-    if min(env, default=0) < 0:
-        raise ValueError(f"negative environment value {min(env)} in {env!r}")
-
-
 def _solved(canon: SNAtom, env: Environment) -> int:
     """Index 0's value solving ``S^a(Var 0) = S^b(t)`` under env, one arity down; maybe < 0.
 
@@ -264,29 +260,22 @@ def candidates(body: Formula, env: Sequence[int]) -> set[int]:
     round per inner quantifier, so constraint chains propagate), and adds a
     single fresh value larger than everything mentioned.  Values outside the
     resulting set are indistinguishable from the fresh one, which makes the
-    enumeration in ``oracle_decide`` exact.  Each call analyses body afresh;
-    ``oracle_decide`` analyses each binder once per call.
+    enumeration in ``oracle_decide`` exact.  Each call reads body afresh,
+    through ``_analyse``, as ``oracle_decide`` reads each binder's body.
     """
     env = tuple(env)
     if body.arity != len(env) + 1:
         raise ArityError(
             f"body arity {body.arity} does not extend environment of length {len(env)}"
         )
-    marks = [
-        (f.atom if isinstance(f, Atom) else None, depth)
-        for f, depth in subformulas(body)
-        if isinstance(f, (Atom, Exists, Forall))
-    ]
-    return _analyse(marks, 0)(env)
+    return _analyse(body)(env)
 
 
-def _analyse(
-    marks: list[tuple[SNAtom | None, int]], base: int
-) -> Callable[[Environment], set[int]]:
-    """``candidates`` as a function of the environment, read from a body's marks.
+def _analyse(body: Formula) -> Callable[[Environment], set[int]]:
+    """``candidates`` for body as a function of the environment, read in one walk.
 
-    A mark is an atom of the body, or None for a binder in it, with its
-    binder depth, counted from base.  The reading keeps what no environment
+    The walk takes each atom of body with its binder depth, and counts each
+    binder in body as one round.  The reading keeps what no environment
     changes: the largest shift, the constant solution points, the offsets
     between two open sides with their ranges, and the rounds; an atom solved
     against an environment value leaves that value's position and offset.
@@ -295,12 +284,11 @@ def _analyse(
     offsets: set[int] = set()
     solved: set[tuple[int, int]] = set()  # (position, offset): env[position] + offset
     top = rounds = 0
-    for a, depth in marks:
-        if a is None:
-            rounds += 1
+    for f, depth in subformulas(body):
+        if not isinstance(f, Atom):
+            rounds += isinstance(f, (Exists, Forall))
             continue
-        depth -= base
-        lhs, rhs = a.lhs, a.rhs
+        lhs, rhs = f.atom.lhs, f.atom.rhs
         top = max(top, lhs.shift, rhs.shift)
         # An open side is the quantified variable itself or one bound
         # further in; either way its value is not fixed by env.
@@ -356,54 +344,30 @@ def oracle_decide(phi: Formula, env: Sequence[int]) -> bool:
 
     Independent of the elimination pipeline: no DNF, no substitution, just
     finite candidate sets, tried in ascending order until one decides.  A
-    call reads each node outside every binder once; it compiles each binder
-    it reaches into closures once, and analyses the binder's body once on
-    the way, so an environment the enumeration visits only adds its own
-    points to the binder's candidates.
+    call compiles phi into closures once, and each binder reads its body
+    once with ``_analyse``, as ``candidates`` does, so an environment the
+    enumeration visits only adds its own points to the binder's candidates.
     """
-    env = check_env(phi, env)
-    _check_naturals(env)
-    return _oracle(phi, env)
+    return _compile(phi)(check_env(phi, env))
 
 
-def _oracle(phi: Formula, env: Environment) -> bool:
-    # A node outside every binder is visited once: read it where it stands.
+def _compile(phi: Formula) -> Callable[[Environment], bool]:
+    """phi's truth as a function of the environment."""
     if isinstance(phi, Atom):
-        return atom_eval(phi.atom, env)
-    if isinstance(phi, Falsum):
-        return False
-    if isinstance(phi, Or):
-        return _oracle(phi.lhs, env) or _oracle(phi.rhs, env)
-    if isinstance(phi, And):
-        return _oracle(phi.lhs, env) and _oracle(phi.rhs, env)
-    if isinstance(phi, Implies):
-        return (not _oracle(phi.lhs, env)) or _oracle(phi.rhs, env)
-    return _compile(phi, 0, [])(env)
-
-
-def _compile(phi: Formula, depth: int, marks: list) -> Callable[[Environment], bool]:
-    """phi's truth as a function of the environment; phi sits depth binders in.
-
-    Appends the marks of phi (see ``_analyse``) to marks.
-    """
-    if isinstance(phi, Atom):
-        marks.append((phi.atom, depth))
         return _compile_atom(phi.atom)
     if isinstance(phi, Falsum):
         return lambda env: False
     if isinstance(phi, (Or, And, Implies)):
-        lhs = _compile(phi.lhs, depth, marks)
-        rhs = _compile(phi.rhs, depth, marks)
+        lhs = _compile(phi.lhs)
+        rhs = _compile(phi.rhs)
         if isinstance(phi, Or):
             return lambda env: lhs(env) or rhs(env)
         if isinstance(phi, And):
             return lambda env: lhs(env) and rhs(env)
         return lambda env: not lhs(env) or rhs(env)
     if isinstance(phi, (Exists, Forall)):
-        marks.append((None, depth))
-        start = len(marks)
-        body = _compile(phi.body, depth + 1, marks)
-        values = _analyse(marks[start:], depth + 1)
+        body = _compile(phi.body)
+        values = _analyse(phi.body)
         quantifier = any if isinstance(phi, Exists) else all
         return lambda env: quantifier(body((v,) + env) for v in sorted(values(env)))
     raise TypeError(f"not a Formula: {phi!r}")
@@ -460,7 +424,7 @@ class SuccessorStep:
             raise ArityError(
                 f"environment length {len(env)} does not match product arity {p.arity}"
             )
-        _check_naturals(env)
+        check_naturals(env)
         lits = p.literals
         pivot, canon = _pivot(lits)
         if pivot is not None:

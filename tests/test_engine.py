@@ -290,6 +290,19 @@ def test_instantiate_universal_rejects_other_evidence():
         instantiate_universal(AtomHolds(), 0)
 
 
+def test_a_provider_rejects_a_value_outside_the_naturals():
+    # The body x = x reaches no prod_witness, so the provider itself must check.
+    ev = decide(STEP, parse("forall x. x = x")).evidence
+    assert ev.instantiate(3) == AtomHolds()
+    with pytest.raises(ValueError, match="negative environment value -1"):
+        ev.instantiate(-1)
+    with pytest.raises(ValueError, match="non-natural environment value 1.5"):
+        ev.instantiate(1.5)
+    refuted = decide(STEP, parse("exists x. x = x+1")).refutation
+    with pytest.raises(ValueError, match="negative environment value -2"):
+        refuted.refute_at(-2)
+
+
 # --- resource ceiling ----------------------------------------------------------------------
 
 

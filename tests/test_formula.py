@@ -35,6 +35,7 @@ from qelim import (
     RightFails,
     SNAtom,
     STEP,
+    Unimplied,
     UniversalEvidence,
     Witness,
     Yes,
@@ -388,6 +389,33 @@ def test_failing_default_sampler_propagates(monkeypatch):
     monkeypatch.setattr(qelim.successor, "candidates", explode)
     with pytest.raises(RuntimeError, match="no candidates"):
         check_evidence(decision, phi, (3,))
+
+
+def test_check_evidence_rejects_a_value_outside_the_naturals():
+    # Each forged value makes the body's leaf true over the integers.
+    never_zero = parse("forall x. x+1 != 0")
+    assert isinstance(decide(STEP, never_zero), Yes)
+    forged = No(Counterexample(-1, Unimplied(AtomHolds(), FalsumRefuted())))
+    assert check_evidence(forged, never_zero, ()) is False
+    assert check_evidence(Yes(Witness(-1, AtomHolds())), parse("exists x. x+1 = 0"), ()) is False
+    assert check_evidence(Yes(Witness("a", AtomHolds())), parse("exists x. x = x"), ()) is False
+
+
+def test_check_evidence_samples_through_the_successor_candidates(monkeypatch):
+    # bench/tracing.py counts the sampler's calls by rebinding this attribute.
+    import qelim.successor
+
+    calls = []
+    counted = qelim.successor.candidates
+
+    def counting(body, env):
+        calls.append(env)
+        return counted(body, env)
+
+    monkeypatch.setattr(qelim.successor, "candidates", counting)
+    phi = parse("forall x. x = y | x != y", ["y"])
+    assert check_evidence(decide(STEP, phi, (3,)), phi, (3,))
+    assert calls == [(3,)]
 
 
 def test_default_sampler_survives_a_fresh_import(monkeypatch):

@@ -9,6 +9,7 @@ from qelim import (
     And,
     ArityError,
     Atom,
+    AtomHolds,
     Dnf,
     Exists,
     Falsum,
@@ -32,6 +33,7 @@ from qelim import (
     eval_qfree,
     interpret_product,
     is_qfree,
+    lem,
     lift_qe,
     mk_not,
     mk_true,
@@ -494,6 +496,25 @@ def test_a_negative_environment_value_is_an_input_error():
     # Through decide, the witness of exists x. x = y at y = -1 is the one asked for.
     with pytest.raises(ValueError, match="negative environment value -1"):
         decide(STEP, parse("exists x. x = y", ["y"]), (-1,))
+    # Every door that takes an environment checks it, also where no witness is
+    # asked for: y+1 = 0 holds over the integers at y = -1.
+    y_plus_1 = parse("y+1 = 0", ["y"])
+    doors = [
+        lambda env: decide(STEP, y_plus_1, env),
+        lambda env: lem(STEP, y_plus_1, env),
+        lambda env: eval_qfree(y_plus_1, env),
+        lambda env: check_evidence(Yes(AtomHolds()), y_plus_1, env),
+        lambda env: oracle_decide(y_plus_1, env),
+        lambda env: STEP.prod_witness(Product((X5_Y3,), 2), env),
+    ]
+    for door in doors:
+        with pytest.raises(ValueError, match="negative environment value -1"):
+            door((-1,))
+        with pytest.raises(ValueError, match="non-natural environment value 1.5"):
+            door((1.5,))
+    # A value outside the naturals is not carried into a witness either.
+    with pytest.raises(ValueError, match="non-natural environment value 1.5"):
+        decide(STEP, parse("exists x. x = y+1", ["y"]), (1.5,))
 
 
 # --- candidate sets and oracles -----------------------------------------------------------
@@ -637,8 +658,8 @@ def test_oracle_and_candidates_match_their_references(monkeypatch):
     # The oracle's own candidate sets, in the order it enumerates them.
     enumerated = []
 
-    def recording(marks, base):
-        values = analyse(marks, base)
+    def recording(body):
+        values = analyse(body)
 
         def record(env):
             found = values(env)
